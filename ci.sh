@@ -1,13 +1,27 @@
 #!/bin/sh
-# Repo CI gate: formatting, offline release build, full test suite, perf smoke.
+# Repo CI gate: formatting, lints, offline release build, full test suite,
+# perf smoke.
 set -eu
 cd "$(dirname "$0")"
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
+# rotom-nn is lint-clean under -D warnings; the rest of the workspace must
+# at least pass clippy's deny-by-default lints (i.e. compile under clippy).
+echo "== cargo clippy (rotom-nn -D warnings; workspace deny-by-default)"
+cargo clippy -q --offline -p rotom-nn --all-targets -- -D warnings
+cargo clippy -q --offline --workspace --all-targets
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
+
+# The repo benchmark (perfbench/) is its own Cargo workspace that compiles
+# against crates/* by path, so nothing above notices a layer API change that
+# breaks it: build it and run its unit tests.
+echo "== perfbench: build + unit tests"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo test --offline"
 cargo test -q --offline --workspace

@@ -16,7 +16,7 @@
 use crate::corrupt::corruption_pairs;
 use crate::ops::{DaContext, DaOp};
 use rotom_nn::{
-    recycle_tape, take_pooled_tape, Adam, FwdCtx, ParamStore, TransformerConfig,
+    recycle_tape, take_pooled_tape, Adam, FwdCtx, InferCtx, ParamStore, TransformerConfig,
     TransformerDecoder, TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
@@ -268,23 +268,18 @@ impl InvDa {
 
         let pool = rotom_nn::RotomPool::global();
         let out_ids = rotom_nn::with_infer_scratch(|scratch| {
-            let (memory, mem_rows) =
-                self.encoder
-                    .infer_forward_with(&in_ids, &[], &self.store, pool, scratch);
-            let kv = self
-                .decoder
-                .infer_prepare(&memory, mem_rows, &self.store, pool);
+            let mut ctx = InferCtx {
+                store: &self.store,
+                pool,
+                scratch,
+            };
+            let (memory, _) = self.encoder.infer_forward_with(&in_ids, &[], &mut ctx);
+            let kv = self.decoder.infer_prepare(&memory, &ctx);
             let mut logits = vec![0.0f32; self.vocab.len()];
             let mut out_ids: Vec<usize> = vec![bos];
             for _ in 0..self.cfg.max_gen_len {
-                self.decoder.infer_last_logits(
-                    &out_ids,
-                    &kv,
-                    &self.store,
-                    pool,
-                    scratch,
-                    &mut logits,
-                );
+                self.decoder
+                    .infer_last_logits(&out_ids, &kv, &mut ctx, &mut logits);
                 let next =
                     sample_top_k_top_p(&logits, self.cfg.top_k, self.cfg.top_p, &[bos, pad], rng);
                 if next == eos {
@@ -295,7 +290,7 @@ impl InvDa {
                     break;
                 }
             }
-            scratch.put(memory);
+            ctx.scratch.put(memory);
             out_ids
         });
         out_ids
@@ -321,13 +316,14 @@ impl InvDa {
 
         let pool = rotom_nn::RotomPool::global();
         let kv = rotom_nn::with_infer_scratch(|scratch| {
-            let (memory, mem_rows) =
-                self.encoder
-                    .infer_forward_with(&in_ids, &[], &self.store, pool, scratch);
-            let kv = self
-                .decoder
-                .infer_prepare(&memory, mem_rows, &self.store, pool);
-            scratch.put(memory);
+            let mut ctx = InferCtx {
+                store: &self.store,
+                pool,
+                scratch,
+            };
+            let (memory, _) = self.encoder.infer_forward_with(&in_ids, &[], &mut ctx);
+            let kv = self.decoder.infer_prepare(&memory, &ctx);
+            ctx.scratch.put(memory);
             kv
         });
         let mut last = vec![0.0f32; self.vocab.len()];
@@ -357,14 +353,13 @@ impl InvDa {
                     continue;
                 }
                 rotom_nn::with_infer_scratch(|scratch| {
-                    self.decoder.infer_last_logits(
-                        &beam.ids,
-                        &kv,
-                        &self.store,
+                    let mut ctx = InferCtx {
+                        store: &self.store,
                         pool,
                         scratch,
-                        &mut last,
-                    );
+                    };
+                    self.decoder
+                        .infer_last_logits(&beam.ids, &kv, &mut ctx, &mut last);
                 });
                 let probs = rotom_nn::softmax_slice(&last);
                 let mut ranked: Vec<(usize, f32)> = probs

@@ -49,14 +49,17 @@ fn bench_matmul(size: usize, pool: &RotomPool) -> MatmulRow {
     // Fewer runs for the big sizes; medians are stable well before 10 runs.
     let runs = if size >= 512 { 5 } else { 9 };
     let serial = RotomPool::new(1);
+    let mut out = vec![0.0f32; size * size];
     let naive_s = time_median(runs, || {
         std::hint::black_box(kernels::matmul_naive(&a, &b, size, size, size));
     });
     let tiled_serial_s = time_median(runs, || {
-        std::hint::black_box(kernels::matmul_with_pool(&a, &b, size, size, size, &serial));
+        kernels::matmul_into(&a, &b, None, size, size, size, &serial, &mut out);
+        std::hint::black_box(&mut out);
     });
     let tiled_parallel_s = time_median(runs, || {
-        std::hint::black_box(kernels::matmul_with_pool(&a, &b, size, size, size, pool));
+        kernels::matmul_into(&a, &b, None, size, size, size, pool, &mut out);
+        std::hint::black_box(&mut out);
     });
     MatmulRow {
         size,
@@ -90,11 +93,11 @@ fn bench_forward_kernels() -> Vec<ForwardRow> {
         std::hint::black_box(&mut out);
     });
     let layernorm_s = time_median(9, || {
-        kernels::layernorm_fwd(&x, &gamma, &beta, 1e-5, rows, cols, &mut out);
+        kernels::layernorm_fwd(&x, &gamma, &beta, 1e-5, &mut out, None);
         std::hint::black_box(&mut out);
     });
     let gelu_s = time_median(9, || {
-        kernels::gelu_fwd(&x, &mut out);
+        kernels::gelu_fwd(&x, &mut out, None);
         std::hint::black_box(&mut out);
     });
     vec![

@@ -295,7 +295,7 @@ impl StateBag {
             }
             body.push('\n');
         }
-        let _ = write!(body, "end {} {:016x}\n", body.len(), {
+        let _ = writeln!(body, "end {} {:016x}", body.len(), {
             fnv1a64(&body.as_bytes()[..body.len()])
         });
         body
@@ -826,7 +826,11 @@ mod tests {
         let mut s = ParamStore::new();
         s.push(
             "weird",
-            Tensor::from_vec(vec![0.0, -0.0, f32::MIN_POSITIVE, 1e-40, 3.1415927], 1, 5),
+            Tensor::from_vec(
+                vec![0.0, -0.0, f32::MIN_POSITIVE, 1e-40, std::f32::consts::PI],
+                1,
+                5,
+            ),
         );
         let parsed = parse(&to_string(&s)).unwrap();
         assert_eq!(parsed[0].1.data(), s.value(s.ids().next().unwrap()).data());

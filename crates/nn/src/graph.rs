@@ -14,7 +14,8 @@
 //! its own memory instead of round-tripping through the allocator:
 //!
 //! * Every node value, gradient, and heavy op payload is drawn from a
-//!   per-tape [`BufArena`] — a free list keyed by element count. After
+//!   per-tape arena — a [`FreeList`] keyed by element count, the same type
+//!   the inference plane's workspaces use. After
 //!   [`Tape::reset`] returns those buffers, the next identically-shaped
 //!   graph allocates nothing.
 //! * Whole tapes are recycled through a global pool
@@ -35,8 +36,12 @@
 //!
 //! The op set is deliberately small — exactly what a Transformer
 //! encoder/decoder, the Rotom filtering/weighting models, and the baseline
-//! RNNs need.
+//! RNNs need. Forward values of the shared ops (softmax, log-softmax,
+//! cross-entropy, layer norm, GELU, add, bias add, scale, GEMM) come from
+//! the [`kernels`] definitions the inference plane also runs, so the tape
+//! and tape-free forwards cannot drift apart.
 
+use crate::freelist::FreeList;
 use crate::kernels;
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
@@ -51,10 +56,6 @@ pub struct NodeId(usize);
 /// Additive attention mask: `0.0` for visible positions, `-1e9` for hidden.
 pub type AttnMask = Tensor;
 
-// Some op payloads (layer-norm eps) are only read during the forward
-// computation that creates the node; they are kept in the enum for
-// debuggability and future introspection.
-#[allow(dead_code)]
 enum Op {
     /// Leaf holding a constant (input) value.
     Input,
@@ -85,7 +86,7 @@ enum Op {
     /// Broadcast multiply of a `1 x n` row into every row of an `m x n` matrix.
     MulRow(NodeId, NodeId),
     Scale(NodeId, f32),
-    AddConst(NodeId, f32),
+    AddConst(NodeId),
     Relu(NodeId),
     /// GELU (tanh approximation); `t` caches the forward `tanh` values so
     /// the backward rule skips the libm call (bit-identical reuse).
@@ -105,9 +106,8 @@ enum Op {
         x: NodeId,
         gamma: NodeId,
         beta: NodeId,
-        eps: f32,
-        /// Cached per-row (mean, inv_std) from the forward pass.
-        cache: Vec<(f32, f32)>,
+        /// Cached per-row `mean, inv_std` pairs from the forward pass.
+        stats: Vec<f32>,
     },
     /// Inverted dropout; `mask` holds `0` or `1/(1-p)` per element.
     Dropout {
@@ -162,79 +162,16 @@ struct Node {
 /// against pathological one-off graphs pinning memory forever.
 const ARENA_CAP_FLOATS: usize = 8 << 20;
 
-/// Free-list of `f32` buffers keyed by exact element count. `take_*` pops a
-/// recycled buffer or allocates; `put` returns one for reuse. After one
-/// warm-up pass over a graph shape, steady-state traffic is allocation-free.
-///
-/// Buckets live in a small vector scanned linearly: a training graph has a
-/// few dozen distinct buffer sizes, and `take`/`put` sit on the per-node hot
-/// path where a hashed lookup (SipHash on a `usize`) costs more than the
-/// scan. Freshly used sizes move to the front so steady-state lookups hit
-/// within the first few entries.
-#[derive(Default)]
-struct BufArena {
-    free: Vec<(usize, Vec<Vec<f32>>)>,
-    retained: usize,
-}
-
-impl BufArena {
-    /// Index of the bucket for `len`, moved one slot toward the front per
-    /// hit so hot sizes bubble up.
-    fn bucket(&mut self, len: usize) -> Option<usize> {
-        let i = self.free.iter().position(|(l, _)| *l == len)?;
-        if i > 0 {
-            self.free.swap(i - 1, i);
-            Some(i - 1)
-        } else {
-            Some(i)
-        }
-    }
-
-    /// A buffer of exactly `len` floats with arbitrary contents. Callers
-    /// must fully overwrite it.
-    fn take_dirty(&mut self, len: usize) -> Vec<f32> {
-        if let Some(i) = self.bucket(len) {
-            if let Some(buf) = self.free[i].1.pop() {
-                self.retained -= len;
-                return buf;
-            }
-        }
-        vec![0.0; len]
-    }
-
-    /// A zero-filled buffer of exactly `len` floats.
-    fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let mut buf = self.take_dirty(len);
-        buf.fill(0.0);
-        buf
-    }
-
-    /// Return a buffer for reuse (dropped silently past the retention cap).
-    fn put(&mut self, buf: Vec<f32>) {
-        let len = buf.len();
-        if len == 0 || self.retained + len > ARENA_CAP_FLOATS {
-            return;
-        }
-        self.retained += len;
-        match self.bucket(len) {
-            Some(i) => self.free[i].1.push(buf),
-            None => self.free.push((len, vec![buf])),
-        }
-    }
-}
-
 /// A gradient tape. Create one per forward pass (typically per batch) — or
 /// better, reuse one via [`with_pooled_tape`] so its arena stays warm.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    arena: BufArena,
+    arena: FreeList<ARENA_CAP_FLOATS>,
     /// Recycled `Vec<usize>` payloads (embedding indices).
     ids_pool: Vec<Vec<usize>>,
     /// Recycled `Vec<NodeId>` payloads (concat/sum fan-ins).
     nids_pool: Vec<Vec<NodeId>>,
-    /// Recycled layer-norm (mean, inv_std) caches.
-    ln_pool: Vec<Vec<(f32, f32)>>,
 }
 
 /// Small-vec pools keep at most this many spares each.
@@ -262,29 +199,22 @@ impl Tape {
                 self.arena.put(g.into_vec());
             }
             match op {
-                Op::Embedding { mut indices, .. } => {
-                    if self.ids_pool.len() < SMALL_POOL_CAP {
-                        indices.clear();
-                        self.ids_pool.push(indices);
-                    }
+                Op::Embedding { mut indices, .. } if self.ids_pool.len() < SMALL_POOL_CAP => {
+                    indices.clear();
+                    self.ids_pool.push(indices);
                 }
-                Op::Dropout { mask, .. } => self.arena.put(mask),
-                Op::Gelu { t, .. } => self.arena.put(t),
-                Op::LayerNorm { mut cache, .. } => {
-                    if self.ln_pool.len() < SMALL_POOL_CAP {
-                        cache.clear();
-                        self.ln_pool.push(cache);
-                    }
-                }
+                Op::Dropout { mask: buf, .. }
+                | Op::Gelu { t: buf, .. }
+                | Op::LayerNorm { stats: buf, .. } => self.arena.put(buf),
                 Op::CrossEntropy { targets, probs, .. } => {
                     self.arena.put(targets);
                     self.arena.put(probs);
                 }
-                Op::ConcatCols(mut v) | Op::ConcatRows(mut v) | Op::SumNodes(mut v) => {
-                    if self.nids_pool.len() < SMALL_POOL_CAP {
-                        v.clear();
-                        self.nids_pool.push(v);
-                    }
+                Op::ConcatCols(mut v) | Op::ConcatRows(mut v) | Op::SumNodes(mut v)
+                    if self.nids_pool.len() < SMALL_POOL_CAP =>
+                {
+                    v.clear();
+                    self.nids_pool.push(v);
                 }
                 _ => {}
             }
@@ -333,18 +263,25 @@ impl Tape {
     /// Elementwise map of a node's value into an arena tensor.
     fn map_into(&mut self, a: NodeId, f: impl Fn(f32) -> f32) -> Tensor {
         let (r, c) = self.shape(a);
-        let mut out = self.arena.take_dirty(r * c);
+        let mut out = self.arena.take(r * c);
         for (o, &x) in out.iter_mut().zip(self.nodes[a.0].value.data()) {
             *o = f(x);
         }
         Tensor::from_vec(out, r, c)
     }
 
+    /// Arena copy of a node's value (for ops that transform it in place).
+    fn copy_value(&mut self, a: NodeId) -> Vec<f32> {
+        let mut out = self.arena.take(self.nodes[a.0].value.len());
+        out.copy_from_slice(self.nodes[a.0].value.data());
+        out
+    }
+
     /// Elementwise zip of two equal-shaped node values into an arena tensor.
     fn zip_into(&mut self, a: NodeId, b: NodeId, f: impl Fn(f32, f32) -> f32) -> Tensor {
         let (r, c) = self.shape(a);
         assert_eq!((r, c), self.shape(b), "zip shape mismatch");
-        let mut out = self.arena.take_dirty(r * c);
+        let mut out = self.arena.take(r * c);
         for ((o, &x), &y) in out
             .iter_mut()
             .zip(self.nodes[a.0].value.data())
@@ -380,7 +317,7 @@ impl Tape {
             let v = store.value(id);
             (v.rows(), v.cols())
         };
-        let mut buf = self.arena.take_dirty(r * c);
+        let mut buf = self.arena.take(r * c);
         buf.copy_from_slice(store.value(id).data());
         let packs = store.packs(id);
         self.push(Op::Param { id, packs }, Tensor::from_vec(buf, r, c))
@@ -391,7 +328,7 @@ impl Tape {
     pub fn embedding(&mut self, table: ParamId, store: &ParamStore, indices: &[usize]) -> NodeId {
         let t = store.value(table);
         let d = t.cols();
-        let mut out = self.arena.take_dirty(indices.len() * d);
+        let mut out = self.arena.take(indices.len() * d);
         for (r, &i) in indices.iter().enumerate() {
             out[r * d..(r + 1) * d].copy_from_slice(t.row_slice(i));
         }
@@ -418,7 +355,7 @@ impl Tape {
         let (m, k) = self.shape(a);
         let (k2, n) = self.shape(b);
         assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
-        let mut out = self.arena.take_dirty(m * n);
+        let mut out = self.arena.take(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let bn = &self.nodes[b.0];
@@ -430,11 +367,7 @@ impl Tape {
                 }
                 _ => None,
             };
-            if let Some(pk) = pk {
-                kernels::matmul_prepacked_into(av, bv, pk, m, k, n, pool, &mut out);
-            } else {
-                kernels::matmul_into(av, bv, m, k, n, pool, &mut out);
-            }
+            kernels::matmul_into(av, bv, pk, m, k, n, pool, &mut out);
         }
         self.push(Op::Matmul(a, b), Tensor::from_vec(out, m, n))
     }
@@ -444,19 +377,26 @@ impl Tape {
         let (m, k) = self.shape(a);
         let (n, k2) = self.shape(b);
         assert_eq!(k, k2, "matmul_tb shape mismatch: {m}x{k} * ({n}x{k2})^T");
-        let mut out = self.arena.take_dirty(m * n);
+        let mut out = self.arena.take(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let bv = self.nodes[b.0].value.data();
-            kernels::matmul_transpose_b_into(av, bv, m, k, n, RotomPool::global(), &mut out);
+            kernels::matmul_transpose_b_into(av, bv, None, m, k, n, RotomPool::global(), &mut out);
         }
         self.push(Op::MatmulTb(a, b), Tensor::from_vec(out, m, n))
     }
 
     /// Elementwise `a + b`.
     pub fn add(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        let v = self.zip_into(a, b, |x, y| x + y);
-        self.push(Op::Add(a, b), v)
+        let (r, c) = self.shape(a);
+        assert_eq!((r, c), self.shape(b), "add shape mismatch");
+        let mut out = self.arena.take(r * c);
+        kernels::add_fwd(
+            self.nodes[a.0].value.data(),
+            self.nodes[b.0].value.data(),
+            &mut out,
+        );
+        self.push(Op::Add(a, b), Tensor::from_vec(out, r, c))
     }
 
     /// Elementwise `a - b`.
@@ -477,20 +417,9 @@ impl Tape {
         let (rr, rc) = self.shape(row);
         assert_eq!(rr, 1, "add_row expects a 1 x n row vector");
         assert_eq!(n, rc, "add_row width mismatch");
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            let rv = self.nodes[row.0].value.data();
-            for i in 0..m {
-                for ((o, &x), &s) in out[i * n..(i + 1) * n]
-                    .iter_mut()
-                    .zip(&av[i * n..(i + 1) * n])
-                    .zip(rv)
-                {
-                    *o = x + s;
-                }
-            }
-        }
+        let mut out = self.copy_value(a);
+        let bias = self.nodes[row.0].value.data();
+        kernels::bias_act_apply(&mut out, m, n, Some(bias), kernels::Act::None);
         self.push(Op::AddRow(a, row), Tensor::from_vec(out, m, n))
     }
 
@@ -500,7 +429,7 @@ impl Tape {
         let (rr, rc) = self.shape(row);
         assert_eq!(rr, 1, "mul_row expects a 1 x n row vector");
         assert_eq!(n, rc, "mul_row width mismatch");
-        let mut out = self.arena.take_dirty(m * n);
+        let mut out = self.arena.take(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let rv = self.nodes[row.0].value.data();
@@ -519,14 +448,16 @@ impl Tape {
 
     /// `a * c` for a compile-time constant `c`.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.map_into(a, |x| x * c);
-        self.push(Op::Scale(a, c), v)
+        let (m, n) = self.shape(a);
+        let mut out = self.copy_value(a);
+        kernels::scale_fwd(&mut out, c);
+        self.push(Op::Scale(a, c), Tensor::from_vec(out, m, n))
     }
 
     /// `a + c` elementwise for a constant `c`.
     pub fn add_const(&mut self, a: NodeId, c: f32) -> NodeId {
         let v = self.map_into(a, |x| x + c);
-        self.push(Op::AddConst(a, c), v)
+        self.push(Op::AddConst(a), v)
     }
 
     // ------------------------------------------------------------------
@@ -545,16 +476,9 @@ impl Tape {
     /// to recomputation.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
-        let mut t = self.arena.take_dirty(m * n);
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let av = self.nodes[a.0].value.data();
-            for ((o, tt), &x) in out.iter_mut().zip(t.iter_mut()).zip(av) {
-                let th = gelu_tanh(x);
-                *tt = th;
-                *o = 0.5 * x * (1.0 + th);
-            }
-        }
+        let mut t = self.arena.take(m * n);
+        let mut out = self.arena.take(m * n);
+        kernels::gelu_fwd(self.nodes[a.0].value.data(), &mut out, Some(&mut t));
         self.push(Op::Gelu { a, t }, Tensor::from_vec(out, m, n))
     }
 
@@ -581,28 +505,24 @@ impl Tape {
         if let Some(mk) = mask {
             assert_eq!((mk.rows(), mk.cols()), (m, n), "mask shape mismatch");
         }
-        let mut out = self.arena.take_dirty(m * n);
-        {
-            let x = &self.nodes[a.0].value;
-            for i in 0..m {
-                let mrow = mask.map(|mk| mk.row_slice(i));
-                softmax_row(x.row_slice(i), mrow, &mut out[i * n..(i + 1) * n]);
-            }
-        }
+        let mut out = self.arena.take(m * n);
+        let x = self.nodes[a.0].value.data();
+        kernels::softmax_fwd(x, mask.map(|mk| mk.data()), m, n, &mut out);
         self.push(Op::Softmax(a), Tensor::from_vec(out, m, n))
     }
 
     /// Row-wise log-softmax.
     pub fn log_softmax(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
-        let mut out = self.arena.take_dirty(m * n);
+        let mut out = self.arena.take(m * n);
         {
             let x = &self.nodes[a.0].value;
             for i in 0..m {
                 let row = x.row_slice(i);
-                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-                let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-                for (o, &v) in out[i * n..(i + 1) * n].iter_mut().zip(row) {
+                let orow = &mut out[i * n..(i + 1) * n];
+                let (max, sum) = kernels::softmax_row_fwd(row, None, orow);
+                let lse = sum.ln() + max;
+                for (o, &v) in orow.iter_mut().zip(row) {
                     *o = v - lse;
                 }
             }
@@ -615,36 +535,22 @@ impl Tape {
         let (m, nc) = self.shape(x);
         assert_eq!(self.shape(gamma), (1, nc));
         assert_eq!(self.shape(beta), (1, nc));
-        let n = nc as f32;
-        let mut out = self.arena.take_dirty(m * nc);
-        let mut cache = self.ln_pool.pop().unwrap_or_default();
-        {
-            let xv = &self.nodes[x.0].value;
-            let g = self.nodes[gamma.0].value.data();
-            let b = self.nodes[beta.0].value.data();
-            cache.reserve(m);
-            for i in 0..m {
-                let row = xv.row_slice(i);
-                let mean = row.iter().sum::<f32>() / n;
-                let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / n;
-                let inv_std = 1.0 / (var + eps).sqrt();
-                cache.push((mean, inv_std));
-                for ((o, &v), (&gg, &bb)) in out[i * nc..(i + 1) * nc]
-                    .iter_mut()
-                    .zip(row)
-                    .zip(g.iter().zip(b))
-                {
-                    *o = (v - mean) * inv_std * gg + bb;
-                }
-            }
-        }
+        let mut out = self.arena.take(m * nc);
+        let mut stats = self.arena.take(2 * m);
+        kernels::layernorm_fwd(
+            self.nodes[x.0].value.data(),
+            self.nodes[gamma.0].value.data(),
+            self.nodes[beta.0].value.data(),
+            eps,
+            &mut out,
+            Some(&mut stats),
+        );
         self.push(
             Op::LayerNorm {
                 x,
                 gamma,
                 beta,
-                eps,
-                cache,
+                stats,
             },
             Tensor::from_vec(out, m, nc),
         )
@@ -659,11 +565,11 @@ impl Tape {
                 let (m, n) = self.shape(x);
                 assert_eq!(bits.len(), m * n, "dropout mask length mismatch");
                 let keep = 1.0 - p;
-                let mut mask = self.arena.take_dirty(m * n);
+                let mut mask = self.arena.take(m * n);
                 for (o, &b) in mask.iter_mut().zip(&bits) {
                     *o = if b { 1.0 / keep } else { 0.0 };
                 }
-                let mut data = self.arena.take_dirty(m * n);
+                let mut data = self.arena.take(m * n);
                 for ((o, &v), &mv) in data.iter_mut().zip(self.nodes[x.0].value.data()).zip(&mask) {
                     *o = v * mv;
                 }
@@ -682,7 +588,7 @@ impl Tape {
         assert!(!parts.is_empty());
         let rows = self.shape(parts[0]).0;
         let total: usize = parts.iter().map(|&p| self.shape(p).1).sum();
-        let mut out = self.arena.take_dirty(rows * total);
+        let mut out = self.arena.take(rows * total);
         let mut off = 0;
         for &p in parts {
             let v = &self.nodes[p.0].value;
@@ -702,7 +608,7 @@ impl Tape {
         assert!(!parts.is_empty());
         let cols = self.shape(parts[0]).1;
         let total: usize = parts.iter().map(|&p| self.shape(p).0).sum();
-        let mut out = self.arena.take_dirty(total * cols);
+        let mut out = self.arena.take(total * cols);
         let mut off = 0;
         for &p in parts {
             let v = &self.nodes[p.0].value;
@@ -718,7 +624,7 @@ impl Tape {
     pub fn slice_cols(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
         let (m, n) = self.shape(x);
         assert!(start + len <= n, "slice_cols out of bounds");
-        let mut out = self.arena.take_dirty(m * len);
+        let mut out = self.arena.take(m * len);
         {
             let v = &self.nodes[x.0].value;
             for r in 0..m {
@@ -735,7 +641,7 @@ impl Tape {
     pub fn slice_rows(&mut self, x: NodeId, start: usize, len: usize) -> NodeId {
         let (m, n) = self.shape(x);
         assert!(start + len <= m, "slice_rows out of bounds");
-        let mut out = self.arena.take_dirty(len * n);
+        let mut out = self.arena.take(len * n);
         out.copy_from_slice(&self.nodes[x.0].value.data()[start * n..(start + len) * n]);
         self.push(
             Op::SliceRows { x, start, len },
@@ -763,7 +669,7 @@ impl Tape {
     pub fn sum_nodes(&mut self, parts: &[NodeId]) -> NodeId {
         assert!(!parts.is_empty());
         let (m, n) = self.shape(parts[0]);
-        let mut out = self.arena.take_dirty(m * n);
+        let mut out = self.arena.take(m * n);
         out.copy_from_slice(self.nodes[parts[0].0].value.data());
         let mut acc = Tensor::from_vec(out, m, n);
         for &p in &parts[1..] {
@@ -790,7 +696,7 @@ impl Tape {
     /// Sum of all elements as a `1x1` node.
     pub fn sum_all(&mut self, x: NodeId) -> NodeId {
         let s = self.value(x).sum();
-        let mut buf = self.arena.take_dirty(1);
+        let mut buf = self.arena.take(1);
         buf[0] = s;
         self.push(Op::SumAll(x), Tensor::from_vec(buf, 1, 1))
     }
@@ -814,30 +720,25 @@ impl Tape {
     ///
     /// `targets` is row-major `m x C` and each row should be a probability
     /// distribution (one-hot for hard labels). The row softmax is computed
-    /// once: its (max, sum) statistics give the log-sum-exp for the loss and
-    /// the cached probabilities feed the backward rule.
+    /// once per row ([`kernels::cross_entropy_row`]): its (max, sum)
+    /// statistics give the log-sum-exp for the loss and the cached
+    /// probabilities feed the backward rule.
     pub fn cross_entropy(&mut self, logits: NodeId, targets: &[f32]) -> NodeId {
         let (m, c) = self.shape(logits);
         assert_eq!(targets.len(), m * c, "target shape mismatch");
-        let mut probs = self.arena.take_dirty(m * c);
+        let mut probs = self.arena.take(m * c);
         let mut loss = 0.0f64;
         {
             let lv = &self.nodes[logits.0].value;
             for i in 0..m {
-                let row = lv.row_slice(i);
-                let (max, sum) = softmax_row(row, None, &mut probs[i * c..(i + 1) * c]);
-                let lse = sum.ln() + max;
-                for j in 0..c {
-                    let t = targets[i * c + j];
-                    if t != 0.0 {
-                        loss -= (t * (row[j] - lse)) as f64;
-                    }
-                }
+                let span = i * c..(i + 1) * c;
+                let (t, p) = (&targets[span.clone()], &mut probs[span]);
+                loss = kernels::cross_entropy_row(lv.row_slice(i), t, p, loss);
             }
         }
-        let mut tbuf = self.arena.take_dirty(m * c);
+        let mut tbuf = self.arena.take(m * c);
         tbuf.copy_from_slice(targets);
-        let mut vbuf = self.arena.take_dirty(1);
+        let mut vbuf = self.arena.take(1);
         vbuf[0] = (loss / m as f64) as f32;
         self.push(
             Op::CrossEntropy {
@@ -858,7 +759,7 @@ impl Tape {
     /// store, so call [`ParamStore::zero_grad`] first for a fresh pass.
     pub fn backward(&mut self, loss: NodeId, store: &mut ParamStore) {
         assert_eq!(self.value(loss).len(), 1, "backward target must be scalar");
-        let mut seed = self.arena.take_dirty(1);
+        let mut seed = self.arena.take(1);
         seed[0] = 1.0;
         self.nodes[loss.0].grad = Some(Tensor::from_vec(seed, 1, 1));
         for i in (0..=loss.0).rev() {
@@ -879,7 +780,7 @@ impl Tape {
             g.add_assign_from(delta);
             return;
         }
-        let mut buf = self.arena.take_dirty(delta.len());
+        let mut buf = self.arena.take(delta.len());
         buf.copy_from_slice(delta.data());
         self.nodes[id.0].grad = Some(Tensor::from_vec(buf, delta.rows(), delta.cols()));
     }
@@ -922,8 +823,8 @@ impl Tape {
                 // parameter.
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
-                let mut da = self.arena.take_dirty(m * k);
-                let mut db = self.arena.take_dirty(k * n);
+                let mut da = self.arena.take(m * k);
+                let mut db = self.arena.take(k * n);
                 {
                     let av = self.nodes[a.0].value.data();
                     let bn = &self.nodes[b.0];
@@ -935,20 +836,7 @@ impl Tape {
                         }
                         _ => None,
                     };
-                    if let Some(pt) = pt {
-                        kernels::matmul_transpose_b_prepacked_into(
-                            grad.data(),
-                            bv,
-                            pt,
-                            m,
-                            n,
-                            k,
-                            pool,
-                            &mut da,
-                        );
-                    } else {
-                        kernels::matmul_transpose_b_into(grad.data(), bv, m, n, k, pool, &mut da);
-                    }
+                    kernels::matmul_transpose_b_into(grad.data(), bv, pt, m, n, k, pool, &mut da);
                     kernels::matmul_transpose_a_into(av, grad.data(), m, k, n, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
@@ -958,8 +846,8 @@ impl Tape {
                 // C = A * B^T ; dA = dC * B ; dB = dC^T * A
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
-                let mut da = self.arena.take_dirty(m * k);
-                let mut db = self.arena.take_dirty(n * k);
+                let mut da = self.arena.take(m * k);
+                let mut db = self.arena.take(n * k);
                 {
                     let av = self.nodes[a.0].value.data();
                     let bn = &self.nodes[b.0];
@@ -971,11 +859,7 @@ impl Tape {
                         }
                         _ => None,
                     };
-                    if let Some(pk) = pk {
-                        kernels::matmul_prepacked_into(grad.data(), bv, pk, m, n, k, pool, &mut da);
-                    } else {
-                        kernels::matmul_into(grad.data(), bv, m, n, k, pool, &mut da);
-                    }
+                    kernels::matmul_into(grad.data(), bv, pk, m, n, k, pool, &mut da);
                     kernels::matmul_transpose_a_into(grad.data(), av, m, n, k, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
@@ -987,7 +871,7 @@ impl Tape {
             }
             Op::Sub(a, b) => {
                 self.add_grad(*a, grad);
-                let mut neg = self.arena.take_dirty(grad.len());
+                let mut neg = self.arena.take(grad.len());
                 for (o, &g) in neg.iter_mut().zip(grad.data()) {
                     *o = -g;
                 }
@@ -995,8 +879,8 @@ impl Tape {
             }
             Op::Mul(a, b) => {
                 let (m, n) = (grad.rows(), grad.cols());
-                let mut da = self.arena.take_dirty(m * n);
-                let mut db = self.arena.take_dirty(m * n);
+                let mut da = self.arena.take(m * n);
+                let mut db = self.arena.take(m * n);
                 {
                     let av = self.nodes[a.0].value.data();
                     let bv = self.nodes[b.0].value.data();
@@ -1023,7 +907,7 @@ impl Tape {
             }
             Op::MulRow(a, row) => {
                 let (m, n) = (grad.rows(), grad.cols());
-                let mut da = self.arena.take_dirty(m * n);
+                let mut da = self.arena.take(m * n);
                 let mut rg = self.arena.take_zeroed(n);
                 {
                     let rv = self.nodes[row.0].value.data();
@@ -1048,13 +932,13 @@ impl Tape {
             }
             Op::Scale(a, c) => {
                 let c = *c;
-                let mut da = self.arena.take_dirty(grad.len());
+                let mut da = self.arena.take(grad.len());
                 for (o, &g) in da.iter_mut().zip(grad.data()) {
                     *o = g * c;
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, grad.rows(), grad.cols()));
             }
-            Op::AddConst(a, _) => {
+            Op::AddConst(a) => {
                 self.add_grad(*a, grad);
             }
             Op::Relu(a) => {
@@ -1064,7 +948,7 @@ impl Tape {
             Op::Gelu { a, t } => {
                 // Reuses the forward-pass tanh cache `t`: the derivative
                 // sees the identical tanh bits it would recompute.
-                let mut da = self.arena.take_dirty(grad.len());
+                let mut da = self.arena.take(grad.len());
                 {
                     let av = self.nodes[a.0].value.data();
                     for (((d, &g), &x), &th) in da.iter_mut().zip(grad.data()).zip(av).zip(t.iter())
@@ -1085,7 +969,7 @@ impl Tape {
             Op::Softmax(a) => {
                 // dX_j = y_j * (g_j - Σ_k g_k y_k), row-wise.
                 let (m, n) = (grad.rows(), grad.cols());
-                let mut da = self.arena.take_dirty(m * n);
+                let mut da = self.arena.take(m * n);
                 {
                     let y = &self.nodes[i].value;
                     for r in 0..m {
@@ -1102,7 +986,7 @@ impl Tape {
             Op::LogSoftmax(a) => {
                 // dX_j = g_j - softmax_j * Σ_k g_k, row-wise.
                 let (m, n) = (grad.rows(), grad.cols());
-                let mut da = self.arena.take_dirty(m * n);
+                let mut da = self.arena.take(m * n);
                 {
                     let y = &self.nodes[i].value;
                     for r in 0..m {
@@ -1120,19 +1004,18 @@ impl Tape {
                 x,
                 gamma,
                 beta,
-                eps: _,
-                cache,
+                stats,
             } => {
                 let (m, nc) = (grad.rows(), grad.cols());
                 let n = nc as f32;
-                let mut dx = self.arena.take_dirty(m * nc);
+                let mut dx = self.arena.take(m * nc);
                 let mut dgamma = self.arena.take_zeroed(nc);
                 let mut dbeta = self.arena.take_zeroed(nc);
                 {
                     let xv = &self.nodes[x.0].value;
                     let gv = self.nodes[gamma.0].value.data();
                     for r in 0..m {
-                        let (mean, inv_std) = cache[r];
+                        let (mean, inv_std) = (stats[2 * r], stats[2 * r + 1]);
                         let xr = xv.row_slice(r);
                         let gr = grad.row_slice(r);
                         // xhat_j = (x_j - mean) * inv_std
@@ -1160,7 +1043,7 @@ impl Tape {
                 self.add_grad_owned(*beta, Tensor::from_vec(dbeta, 1, nc));
             }
             Op::Dropout { x, mask } => {
-                let mut da = self.arena.take_dirty(grad.len());
+                let mut da = self.arena.take(grad.len());
                 for ((o, &g), &mv) in da.iter_mut().zip(grad.data()).zip(mask) {
                     *o = g * mv;
                 }
@@ -1171,7 +1054,7 @@ impl Tape {
                 let rows = grad.rows();
                 for &p in parts {
                     let w = self.nodes[p.0].value.cols();
-                    let mut dp = self.arena.take_dirty(rows * w);
+                    let mut dp = self.arena.take(rows * w);
                     for r in 0..rows {
                         dp[r * w..(r + 1) * w].copy_from_slice(&grad.row_slice(r)[off..off + w]);
                     }
@@ -1184,7 +1067,7 @@ impl Tape {
                 let cols = grad.cols();
                 for &p in parts {
                     let h = self.nodes[p.0].value.rows();
-                    let mut dp = self.arena.take_dirty(h * cols);
+                    let mut dp = self.arena.take(h * cols);
                     dp.copy_from_slice(&grad.data()[off * cols..(off + h) * cols]);
                     self.add_grad_owned(p, Tensor::from_vec(dp, h, cols));
                     off += h;
@@ -1207,7 +1090,7 @@ impl Tape {
             Op::MeanRows(x) => {
                 let (rows, n) = self.shape(*x);
                 let m = rows as f32;
-                let mut dx = self.arena.take_dirty(rows * n);
+                let mut dx = self.arena.take(rows * n);
                 for r in 0..rows {
                     for (d, &g) in dx[r * n..(r + 1) * n].iter_mut().zip(grad.data()) {
                         *d = g / m;
@@ -1222,7 +1105,7 @@ impl Tape {
             }
             Op::MulScalar { x, s } => {
                 let sv = self.nodes[s.0].value.item();
-                let mut dx = self.arena.take_dirty(grad.len());
+                let mut dx = self.arena.take(grad.len());
                 for (o, &g) in dx.iter_mut().zip(grad.data()) {
                     *o = g * sv;
                 }
@@ -1233,14 +1116,14 @@ impl Tape {
                     .zip(self.nodes[x.0].value.data())
                     .map(|(&g, &xv)| g * xv)
                     .sum();
-                let mut dsb = self.arena.take_dirty(1);
+                let mut dsb = self.arena.take(1);
                 dsb[0] = ds;
                 self.add_grad_owned(*s, Tensor::from_vec(dsb, 1, 1));
             }
             Op::SumAll(x) => {
                 let g = grad.item();
                 let (m, n) = self.shape(*x);
-                let mut dx = self.arena.take_dirty(m * n);
+                let mut dx = self.arena.take(m * n);
                 dx.fill(g);
                 self.add_grad_owned(*x, Tensor::from_vec(dx, m, n));
             }
@@ -1262,7 +1145,7 @@ impl Tape {
                 let g = grad.item();
                 let (m, c) = self.shape(*logits);
                 let scale = g / m as f32;
-                let mut dl = self.arena.take_dirty(m * c);
+                let mut dl = self.arena.take(m * c);
                 for ((o, &p), &t) in dl.iter_mut().zip(probs.iter()).zip(targets.iter()) {
                     *o = (p - t) * scale;
                 }
@@ -1274,7 +1157,7 @@ impl Tape {
 
     /// `f(grad, input_value)` elementwise into an arena tensor.
     fn bwd_zip(&mut self, grad: &Tensor, a: &NodeId, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let mut out = self.arena.take_dirty(grad.len());
+        let mut out = self.arena.take(grad.len());
         for ((o, &g), &x) in out
             .iter_mut()
             .zip(grad.data())
@@ -1287,7 +1170,7 @@ impl Tape {
 
     /// `f(grad, output_value_of_node_i)` elementwise into an arena tensor.
     fn bwd_zip_out(&mut self, grad: &Tensor, i: usize, f: impl Fn(f32, f32) -> f32) -> Tensor {
-        let mut out = self.arena.take_dirty(grad.len());
+        let mut out = self.arena.take(grad.len());
         for ((o, &g), &y) in out
             .iter_mut()
             .zip(grad.data())
@@ -1338,8 +1221,8 @@ pub fn take_pooled_tape() -> Tape {
 pub fn recycle_tape(mut tape: Tape) {
     tape.reset();
     let mut pool = TAPE_POOL.lock().unwrap();
-    let pooled_retained: usize = pool.iter().map(|t| t.arena.retained).sum();
-    if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained) {
+    let pooled_retained: usize = pool.iter().map(|t| t.arena.retained_floats()).sum();
+    if tape_should_evict(pool.len(), pooled_retained, tape.arena.retained_floats()) {
         TAPE_EVICTIONS.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -1368,44 +1251,16 @@ pub fn with_pooled_tape<R>(f: impl FnOnce(&mut Tape) -> R) -> R {
 /// beyond one short lock.
 pub fn pooled_tape_stats() -> (usize, usize) {
     let pool = TAPE_POOL.lock().unwrap();
-    let retained: usize = pool.iter().map(|t| t.arena.retained).sum();
+    let retained: usize = pool.iter().map(|t| t.arena.retained_floats()).sum();
     (pool.len(), retained)
 }
 
-/// Row softmax into `out`; returns the `(max, sum)` statistics so callers
-/// (cross-entropy) can derive the log-sum-exp without a second pass.
-fn softmax_row(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
-    let mut max = f32::NEG_INFINITY;
-    for (j, &v) in row.iter().enumerate() {
-        let m = mask.map_or(0.0, |mm| mm[j]);
-        max = max.max(v + m);
-    }
-    let mut sum = 0.0f32;
-    for (j, &v) in row.iter().enumerate() {
-        let m = mask.map_or(0.0, |mm| mm[j]);
-        let e = (v + m - max).exp();
-        out[j] = e;
-        sum += e;
-    }
-    let inv = 1.0 / sum;
-    for o in out.iter_mut() {
-        *o *= inv;
-    }
-    (max, sum)
-}
-
-/// The `tanh` factor of the GELU tanh approximation — computed once in the
-/// forward pass, cached on the node, and reused by the backward rule.
-fn gelu_tanh(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    (C * (x + 0.044_715 * x * x * x)).tanh()
-}
-
-/// GELU derivative given the cached `t = gelu_tanh(x)`. With the identical
-/// `t` bits, this equals recomputing the tanh from scratch.
+/// GELU derivative given the `tanh` factor `t` cached by
+/// [`kernels::gelu_fwd`]. With the identical `t` bits, this equals
+/// recomputing the tanh from scratch.
 fn gelu_bwd_cached(x: f32, t: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let dt = (1.0 - t * t) * C * (1.0 + 3.0 * 0.044_715 * x * x);
+    const C: f32 = kernels::GELU_C;
+    let dt = (1.0 - t * t) * C * (1.0 + 3.0 * kernels::GELU_A * x * x);
     0.5 * (1.0 + t) + 0.5 * x * dt
 }
 

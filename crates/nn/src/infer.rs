@@ -3,15 +3,23 @@
 //!
 //! The autodiff [`Tape`](crate::graph::Tape) pays for node bookkeeping and
 //! gradient-buffer reservation on every op — bookkeeping that forward-only
-//! work (evaluation, M_F candidate scoring, InvDA decoding) never uses. The
-//! inference plane executes the same arithmetic as the tape's forward pass
-//! — **bit-for-bit** — but straight into preallocated `Vec<f32>`
-//! workspaces:
+//! work (evaluation, M_F candidate scoring, InvDA decoding) never uses. Each
+//! layer therefore has one tape-free `infer` entry point beside its tape
+//! `forward`. Both run the same forward kernels in
+//! [`kernels`](crate::kernels) — there is one definition of each softmax,
+//! layer norm, GELU, residual add and GEMM dispatch — so the two planes
+//! agree **bit-for-bit**. What `infer` drops is the bookkeeping:
 //!
-//! * [`InferScratch`] — an exact-length free-list of activation buffers. A
-//!   forward pass takes buffers, runs the forward kernels in
-//!   [`kernels`](crate::kernels), and returns them; steady-state scoring
-//!   performs no heap allocation.
+//! * [`Rows`](crate::kernels::Rows) says which output rows an `infer` call
+//!   computes: the whole pass, or one [`band_rows`](crate::kernels::band_rows)
+//!   band of it (the `[CLS]` row for classification, the last row for
+//!   decoding). Dispatch is decided on the full shape, so a band is
+//!   bit-identical to the same rows of the full pass.
+//! * [`InferScratch`] — the activation workspace, a [`FreeList`] (the same
+//!   exact-length free list the tape's arena uses). A forward pass takes
+//!   buffers and returns them; steady-state scoring allocates nothing.
+//!   Layers receive it in an [`InferCtx`](crate::layers::InferCtx) beside
+//!   the parameter store and the pool.
 //! * [`with_infer_scratch`] — a process-global pool of `InferScratch`
 //!   instances (mirroring the pooled-tape free list), so concurrent pool
 //!   workers each grab a private workspace and recycle it across batches.
@@ -21,11 +29,10 @@
 //!   so any weight mutation invalidates every entry.
 //!
 //! Bit-identity with the tape forward is a hard invariant, not a tolerance:
-//! golden runs pin evaluation accuracies and InvDA generations, so the layer
-//! `infer_*` methods replicate the tape's kernel dispatch decisions and
-//! scalar reduction orders exactly (see the "Inference plane" section of
-//! DESIGN.md). Training stays on the tape path untouched.
+//! golden runs pin evaluation accuracies and InvDA generations (see the
+//! "Inference plane" section of DESIGN.md). Training stays on the tape.
 
+use crate::freelist::FreeList;
 use crate::telemetry::{self, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,62 +42,17 @@ use std::sync::Mutex;
 // Activation workspaces
 // ---------------------------------------------------------------------------
 
-/// Cap on floats retained inside one [`InferScratch`] free list (4M floats =
-/// 16 MiB): buffers beyond the cap are dropped on return instead of pooled.
+/// Cap on floats retained inside one [`InferScratch`] (4M floats = 16 MiB):
+/// buffers beyond the cap are dropped on return instead of pooled.
 const SCRATCH_CAP_FLOATS: usize = 4 << 20;
 
 /// Number of [`InferScratch`] instances the global pool retains.
 const MAX_POOLED_SCRATCH: usize = 8;
 
-/// Exact-length free-list of activation buffers for forward-only passes.
-///
-/// `take(len)` hands out a buffer of exactly `len` elements with
-/// **unspecified contents** — every inference kernel fully overwrites its
-/// output, so no clearing pass is paid. `put` returns a buffer for reuse.
-/// Buffers are bucketed by exact length because transformer activations
-/// recur in a handful of shapes per model; a steady-state scoring loop hits
-/// the free list for every buffer.
-#[derive(Default)]
-pub struct InferScratch {
-    free: HashMap<usize, Vec<Vec<f32>>>,
-    retained: usize,
-}
-
-impl InferScratch {
-    /// Create an empty workspace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Take a buffer of exactly `len` elements. Contents are unspecified
-    /// (previous activations); the caller must fully overwrite them.
-    pub fn take(&mut self, len: usize) -> Vec<f32> {
-        if let Some(bucket) = self.free.get_mut(&len) {
-            if let Some(v) = bucket.pop() {
-                self.retained -= len;
-                debug_assert_eq!(v.len(), len);
-                return v;
-            }
-        }
-        vec![0.0; len]
-    }
-
-    /// Return a buffer to the free list (dropped once the retained-float cap
-    /// is reached).
-    pub fn put(&mut self, v: Vec<f32>) {
-        let len = v.len();
-        if len == 0 || self.retained + len > SCRATCH_CAP_FLOATS {
-            return;
-        }
-        self.retained += len;
-        self.free.entry(len).or_default().push(v);
-    }
-
-    /// Floats currently held on the free list (diagnostics).
-    pub fn retained_floats(&self) -> usize {
-        self.retained
-    }
-}
+/// Activation workspace for forward-only passes. `take(len)` hands out a
+/// buffer with unspecified contents — every inference kernel fully
+/// overwrites its output, so no clearing pass is paid.
+pub type InferScratch = FreeList<SCRATCH_CAP_FLOATS>;
 
 /// Process-global free list of [`InferScratch`] instances. Pool workers are
 /// scoped threads (fresh per call), so thread-locals never see reuse; a

@@ -1,11 +1,10 @@
 //! Multi-head scaled dot-product attention.
 
 use super::linear::Linear;
+use super::InferCtx;
 use crate::graph::{AttnMask, NodeId, Tape};
-use crate::infer::InferScratch;
-use crate::kernels::{self, Act};
+use crate::kernels::{self, Act, Rows};
 use crate::params::ParamStore;
-use crate::pool::RotomPool;
 use rotom_rng::rngs::StdRng;
 
 /// Multi-head attention with separate Q/K/V/O projections.
@@ -77,183 +76,90 @@ impl MultiHeadAttention {
         self.d_model
     }
 
-    /// Forward-only attention of `tq × d` queries over `tk × d` keys/values
-    /// into `out` (`tq × d`), bit-identical to [`forward`](Self::forward):
-    /// identical projection GEMM dispatch, per-head slicing layouts, scalar
-    /// reduction orders, and softmax formula. `mask`, if given, is the
-    /// additive `tq × tk` mask data.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward(
-        &self,
-        q_in: &[f32],
-        kv_in: &[f32],
-        tq: usize,
-        tk: usize,
-        mask: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let mut k = scratch.take(tk * d);
-        let mut v = scratch.take(tk * d);
-        self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut k);
-        self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut v);
-        self.infer_forward_cached(q_in, tq, &k, &v, tk, mask, store, pool, scratch, out);
-        scratch.put(k);
-        scratch.put(v);
-    }
-
     /// Project the K and V operands of `kv_in` (`tk × d`) into caller
-    /// buffers (`tk × d` each) for reuse across calls whose key/value input
-    /// is unchanged — e.g. cross-attention during autoregressive decoding,
-    /// where the encoder memory is fixed for a whole generation.
-    pub fn infer_project_kv(
+    /// buffers (`tk × d` each), for reuse as [`KvInput::Projected`] across
+    /// calls whose key/value input is unchanged — e.g. cross-attention
+    /// during autoregressive decoding, where the encoder memory is fixed for
+    /// a whole generation.
+    pub fn project_kv(
         &self,
         kv_in: &[f32],
-        tk: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
+        ctx: &InferCtx<'_>,
         k_out: &mut [f32],
         v_out: &mut [f32],
     ) {
-        self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, k_out);
-        self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, v_out);
+        let all = Rows::all(kv_in.len() / self.d_model);
+        self.wk.infer(kv_in, all, Act::None, ctx, k_out);
+        self.wv.infer(kv_in, all, Act::None, ctx, v_out);
     }
 
-    /// [`infer_forward`](Self::infer_forward) with the K/V projections
-    /// precomputed by [`infer_project_kv`](Self::infer_project_kv). Values
-    /// are unchanged — the projections are deterministic functions of the
-    /// key/value input.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_cached(
+    /// Forward-only attention of the `rows` query rows `q_in` (`rows.len ×
+    /// d`) over all `tk` keys/values into `out` (`rows.len × d`),
+    /// bit-identical to the same rows of [`forward`](Self::forward):
+    /// identical projection GEMM dispatch, per-head slicing layouts, scalar
+    /// reduction orders, and softmax kernel. `mask`, if given, holds the
+    /// computed rows of the additive `rows.full × tk` mask.
+    pub fn infer(
         &self,
         q_in: &[f32],
-        tq: usize,
-        k: &[f32],
-        v: &[f32],
-        tk: usize,
+        rows: Rows,
+        kv: KvInput<'_>,
         mask: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
+        ctx: &mut InferCtx<'_>,
         out: &mut [f32],
     ) {
+        let (k, v) = match kv {
+            KvInput::Projected(k, v) => (k, v),
+            KvInput::Raw(kv_in) => {
+                let mut k = ctx.scratch.take(kv_in.len());
+                let mut v = ctx.scratch.take(kv_in.len());
+                self.project_kv(kv_in, ctx, &mut k, &mut v);
+                self.infer(q_in, rows, KvInput::Projected(&k, &v), mask, ctx, out);
+                ctx.scratch.put(k);
+                ctx.scratch.put(v);
+                return;
+            }
+        };
         let d = self.d_model;
         let dk = d / self.heads;
         let scale = 1.0 / (dk as f32).sqrt();
-        let mut q = scratch.take(tq * d);
-        self.wq
-            .infer_forward(q_in, tq, Act::None, store, pool, &mut q);
-        let mut concat = scratch.take(tq * d);
-        let mut qs = scratch.take(tq * dk);
-        let mut ks = scratch.take(tk * dk);
-        let mut vs = scratch.take(tk * dk);
-        let mut scores = scratch.take(tq * tk);
-        let mut attn = scratch.take(tq * tk);
-        let mut head_out = scratch.take(tq * dk);
+        let (tq, tk) = (rows.len, k.len() / d);
+        let mut q = ctx.scratch.take(tq * d);
+        self.wq.infer(q_in, rows, Act::None, ctx, &mut q);
+        let s = &mut *ctx.scratch;
+        let mut concat = s.take(tq * d);
+        let mut qs = s.take(tq * dk);
+        let mut ks = s.take(tk * dk);
+        let mut vs = s.take(tk * dk);
+        let mut scores = s.take(tq * tk);
+        let mut attn = s.take(tq * tk);
+        let mut head_out = s.take(tq * dk);
         for h in 0..self.heads {
             slice_cols(&q, tq, d, h * dk, dk, &mut qs);
             slice_cols(k, tk, d, h * dk, dk, &mut ks);
             slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            kernels::matmul_transpose_b_into(&qs, &ks, tq, dk, tk, pool, &mut scores);
+            rows.matmul_transpose_b_into(&qs, &ks, dk, tk, ctx.pool, &mut scores);
             kernels::scale_fwd(&mut scores, scale);
             kernels::softmax_fwd(&scores, mask, tq, tk, &mut attn);
-            kernels::matmul_into(&attn, &vs, tq, tk, dk, pool, &mut head_out);
+            rows.matmul_into(&attn, &vs, None, tk, dk, ctx.pool, &mut head_out);
             place_cols(&mut concat, tq, d, h * dk, dk, &head_out);
         }
-        self.wo
-            .infer_forward(&concat, tq, Act::None, store, pool, out);
+        self.wo.infer(&concat, rows, Act::None, ctx, out);
         for buf in [q, concat, qs, ks, vs, scores, attn, head_out] {
-            scratch.put(buf);
+            ctx.scratch.put(buf);
         }
     }
+}
 
-    /// Band replay of [`infer_forward`](Self::infer_forward): compute only
-    /// the `band_len` query rows whose inputs are `q_in_band`, exactly as a
-    /// `full_tq`-row call would have (see [`kernels::band_rows`]). The K/V
-    /// projections still run over all `tk` rows (every query row attends to
-    /// every key); `mask_band`, if given, holds the band's rows of the full
-    /// mask.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band(
-        &self,
-        q_in_band: &[f32],
-        kv_in: &[f32],
-        full_tq: usize,
-        band_len: usize,
-        tk: usize,
-        mask_band: Option<&[f32]>,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let mut k = scratch.take(tk * d);
-        let mut v = scratch.take(tk * d);
-        self.wk
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut k);
-        self.wv
-            .infer_forward(kv_in, tk, Act::None, store, pool, &mut v);
-        self.infer_forward_band_cached(
-            q_in_band, full_tq, band_len, &k, &v, tk, mask_band, store, pool, scratch, out,
-        );
-        scratch.put(k);
-        scratch.put(v);
-    }
-
-    /// [`infer_forward_band`](Self::infer_forward_band) with precomputed
-    /// K/V projections.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_cached(
-        &self,
-        q_in_band: &[f32],
-        full_tq: usize,
-        band_len: usize,
-        k: &[f32],
-        v: &[f32],
-        tk: usize,
-        mask_band: Option<&[f32]>,
-        store: &ParamStore,
-        _pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let d = self.d_model;
-        let dk = d / self.heads;
-        let scale = 1.0 / (dk as f32).sqrt();
-        let mut q_band = scratch.take(band_len * d);
-        self.wq
-            .infer_forward_band(q_in_band, full_tq, band_len, Act::None, store, &mut q_band);
-        let mut concat = scratch.take(band_len * d);
-        let mut qs = scratch.take(band_len * dk);
-        let mut ks = scratch.take(tk * dk);
-        let mut vs = scratch.take(tk * dk);
-        let mut scores = scratch.take(band_len * tk);
-        let mut attn = scratch.take(band_len * tk);
-        let mut head_out = scratch.take(band_len * dk);
-        for h in 0..self.heads {
-            slice_cols(&q_band, band_len, d, h * dk, dk, &mut qs);
-            slice_cols(k, tk, d, h * dk, dk, &mut ks);
-            slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            kernels::matmul_transpose_b_band_into(&qs, &ks, full_tq, band_len, dk, tk, &mut scores);
-            kernels::scale_fwd(&mut scores, scale);
-            kernels::softmax_fwd(&scores, mask_band, band_len, tk, &mut attn);
-            kernels::matmul_band_into(&attn, &vs, None, full_tq, band_len, tk, dk, &mut head_out);
-            place_cols(&mut concat, band_len, d, h * dk, dk, &head_out);
-        }
-        self.wo
-            .infer_forward_band(&concat, full_tq, band_len, Act::None, store, out);
-        for buf in [q_band, concat, qs, ks, vs, scores, attn, head_out] {
-            scratch.put(buf);
-        }
-    }
+/// Key/value operand of [`MultiHeadAttention::infer`].
+#[derive(Debug, Clone, Copy)]
+pub enum KvInput<'a> {
+    /// The raw `tk × d` key/value input, projected inside the call.
+    Raw(&'a [f32]),
+    /// K and V projections (`tk × d` each) precomputed by
+    /// [`MultiHeadAttention::project_kv`]. Values are unchanged — the
+    /// projections are deterministic functions of the key/value input.
+    Projected(&'a [f32], &'a [f32]),
 }
 
 /// Copy columns `c0..c0+width` of a `rows × src_cols` matrix into a dense
@@ -280,7 +186,9 @@ fn place_cols(dst: &mut [f32], rows: usize, dst_cols: usize, c0: usize, width: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::InferScratch;
     use crate::layers::transformer::causal_mask;
+    use crate::pool::RotomPool;
     use crate::tensor::Tensor;
     use rotom_rng::SeedableRng;
 
@@ -296,12 +204,18 @@ mod tests {
     }
 
     #[test]
-    fn infer_forward_matches_tape_bitwise() {
+    fn infer_matches_tape_bitwise() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut store = ParamStore::new();
         let d = 8;
         let attn = MultiHeadAttention::new(&mut store, &mut rng, "attn", d, 2);
         let pool = RotomPool::new(1);
+        let mut scratch = InferScratch::new();
+        let mut ctx = InferCtx {
+            store: &store,
+            pool: &pool,
+            scratch: &mut scratch,
+        };
         for &(tq, tk, masked) in &[
             (1usize, 1usize, false),
             (5, 5, true),
@@ -318,59 +232,22 @@ mod tests {
             let mut tape = Tape::new();
             let qn = tape.input(Tensor::from_vec(qx.clone(), tq, d));
             let kn = tape.input(Tensor::from_vec(kx.clone(), tk, d));
-            let y = attn.forward(&mut tape, qn, kn, mask.as_ref(), &store);
+            let y = attn.forward(&mut tape, qn, kn, mask.as_ref(), ctx.store);
             let expect = tape.value(y).data().to_vec();
 
-            let mut scratch = InferScratch::new();
             let mut got = vec![0.0f32; tq * d];
-            attn.infer_forward(
-                &qx,
-                &kx,
-                tq,
-                tk,
-                mask.as_ref().map(|m| m.data()),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut got,
-            );
+            let all = Rows::all(tq);
+            let m = mask.as_ref().map(|m| m.data());
+            attn.infer(&qx, all, KvInput::Raw(&kx), m, &mut ctx, &mut got);
             assert_eq!(expect, got, "tq={tq} tk={tk} masked={masked}");
 
-            // Band replay of the last rows matches the same rows of the full call.
-            let (start, len) = kernels::band_rows(tq, tq - 1);
-            let mut band_out = vec![0.0f32; len * d];
-            attn.infer_forward_band(
-                &qx[start * d..],
-                &kx,
-                tq,
-                len,
-                tk,
-                mask.as_ref().map(|m| &m.data()[start * tk..]),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut band_out,
-            );
-            assert_eq!(&expect[start * d..], &band_out[..], "band tq={tq} tk={tk}");
-
-            // Cached K/V projections change nothing.
+            // Projected K/V change nothing.
             let mut k = vec![0.0f32; tk * d];
             let mut v = vec![0.0f32; tk * d];
-            attn.infer_project_kv(&kx, tk, &store, &pool, &mut k, &mut v);
-            let mut got_cached = vec![0.0f32; tq * d];
-            attn.infer_forward_cached(
-                &qx,
-                tq,
-                &k,
-                &v,
-                tk,
-                mask.as_ref().map(|m| m.data()),
-                &store,
-                &pool,
-                &mut scratch,
-                &mut got_cached,
-            );
-            assert_eq!(expect, got_cached, "cached tq={tq} tk={tk}");
+            attn.project_kv(&kx, &ctx, &mut k, &mut v);
+            let kv = KvInput::Projected(&k, &v);
+            attn.infer(&qx, all, kv, m, &mut ctx, &mut got);
+            assert_eq!(expect, got, "projected tq={tq} tk={tk}");
         }
     }
 

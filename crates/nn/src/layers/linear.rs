@@ -1,8 +1,9 @@
 //! Fully connected layer.
 
+use super::InferCtx;
 use crate::graph::{NodeId, Tape};
 use crate::init::Initializer;
-use crate::kernels;
+use crate::kernels::{self, Act, Rows};
 use crate::params::{ParamId, ParamStore, QuantMode};
 use rotom_rng::rngs::StdRng;
 
@@ -79,107 +80,53 @@ impl Linear {
         }
     }
 
-    /// Forward-only `y = act(x·W + b)` over `rows` input rows into `out`
-    /// (`rows × out_dim`), bit-identical to the tape's `matmul → add_row →
-    /// gelu` chain: the packed-panel decision replicates `Tape::matmul`
-    /// exactly (panels only above the tiled threshold), and the fused
-    /// epilogue applies the same per-element roundings.
-    pub fn infer_forward(
-        &self,
-        x: &[f32],
-        rows: usize,
-        act: kernels::Act,
-        store: &ParamStore,
-        pool: &crate::pool::RotomPool,
-        out: &mut [f32],
-    ) {
+    /// Forward-only `y = act(x·W + b)` for `rows` into `out` (`x`:
+    /// `rows.len × in_dim`, `out`: `rows.len × out_dim`). On the f32 tier it
+    /// is bit-identical to the same rows of the tape's `matmul → add_row →
+    /// gelu` chain over all `rows.full` rows.
+    ///
+    /// Panel use and the i8 tier are decided on the full shape: packed
+    /// panels only above the tiled threshold (as in `Tape::matmul`), and the
+    /// opt-in quantized tier only for GEMMs the f32 path would tile anyway,
+    /// so tiny heads and meta-models never pay quantization overhead and a
+    /// band always takes the same tier as the full pass.
+    pub fn infer(&self, x: &[f32], rows: Rows, act: Act, ctx: &InferCtx<'_>, out: &mut [f32]) {
+        let store = ctx.store;
+        let (k, n) = (self.in_dim, self.out_dim);
         let w = store.value(self.w);
         let packs = store.packs(self.w);
-        let above_small = rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
-        let bias = self.b.map(|b| store.value(b));
-        // Quantized tier: opt-in per store, and only for GEMMs the f32 path
-        // would tile anyway — sub-threshold shapes stay on the (cheaper
-        // there) f32 naive kernel, so tiny heads/meta-models never pay
-        // quantization overhead.
+        let bias = self.b.map(|b| store.value(b).data());
+        let above_small = rows.full * k * n >= kernels::SMALL_FLOPS;
         if store.quant_mode() == QuantMode::I8 && above_small {
             if let Some(qb) = packs.quant(w) {
-                kernels::matmul_bias_act_i8_into(
-                    x,
-                    qb,
-                    bias.map(|t| t.data()),
-                    act,
-                    rows,
-                    self.in_dim,
-                    self.out_dim,
-                    pool,
-                    out,
-                );
+                if rows.is_all() {
+                    kernels::matmul_bias_act_i8_into(
+                        x, qb, bias, act, rows.len, k, n, ctx.pool, out,
+                    );
+                } else {
+                    kernels::matmul_band_i8_into(x, qb, bias, act, rows.len, k, n, out);
+                }
                 return;
             }
         }
         let pk = if above_small { packs.direct(w) } else { None };
-        kernels::matmul_bias_act_into(
-            x,
-            w.data(),
-            pk,
-            bias.map(|t| t.data()),
-            act,
-            rows,
-            self.in_dim,
-            self.out_dim,
-            pool,
-            out,
-        );
-    }
-
-    /// Band replay of [`infer_forward`](Self::infer_forward): compute only
-    /// the `band_len` output rows whose inputs are `x_band`, exactly as a
-    /// `full_rows`-row forward would have computed them (see
-    /// [`kernels::band_rows`]). The bias/activation epilogue is per-row, so
-    /// it composes with the band without affecting values.
-    pub fn infer_forward_band(
-        &self,
-        x_band: &[f32],
-        full_rows: usize,
-        band_len: usize,
-        act: kernels::Act,
-        store: &ParamStore,
-        out: &mut [f32],
-    ) {
-        let w = store.value(self.w);
-        let packs = store.packs(self.w);
-        let above_small = full_rows * self.in_dim * self.out_dim >= kernels::SMALL_FLOPS;
-        let bias = self.b.map(|b| store.value(b));
-        // Same quant gate as `infer_forward`, on the *full* logical shape —
-        // band and full replay must agree on the tier or band replay would
-        // not be self-consistent with full scoring.
-        if store.quant_mode() == QuantMode::I8 && above_small {
-            if let Some(qb) = packs.quant(w) {
-                kernels::matmul_band_i8_into(
-                    x_band,
-                    qb,
-                    bias.map(|t| t.data()),
-                    act,
-                    band_len,
-                    self.in_dim,
-                    self.out_dim,
-                    out,
-                );
-                return;
-            }
+        if rows.is_all() {
+            kernels::matmul_bias_act_into(
+                x,
+                w.data(),
+                pk,
+                bias,
+                act,
+                rows.len,
+                k,
+                n,
+                ctx.pool,
+                out,
+            );
+        } else {
+            kernels::matmul_band_into(x, w.data(), pk, rows.full, rows.len, k, n, out);
+            kernels::bias_act_apply(out, rows.len, n, bias, act);
         }
-        let pk = if above_small { packs.direct(w) } else { None };
-        kernels::matmul_band_into(
-            x_band,
-            w.data(),
-            pk,
-            full_rows,
-            band_len,
-            self.in_dim,
-            self.out_dim,
-            out,
-        );
-        kernels::bias_act_apply(out, band_len, self.out_dim, bias.map(|t| t.data()), act);
     }
 }
 

@@ -1,9 +1,12 @@
 //! Neural network layers built on the autodiff [`Tape`](crate::graph::Tape).
 //!
 //! Every layer owns [`ParamId`](crate::params::ParamId)s registered in a
-//! shared [`ParamStore`](crate::params::ParamStore) and exposes a `forward`
-//! that appends nodes to a caller-provided tape. Layers are stateless between
-//! calls; all trainable state lives in the store.
+//! shared [`ParamStore`] and exposes a `forward`
+//! that appends nodes to a caller-provided tape, plus (for the layers the
+//! inference plane runs) one tape-free `infer` over a
+//! [`Rows`](crate::kernels::Rows) selection, bit-identical to the same rows
+//! of `forward` in eval mode. Layers are stateless between calls; all
+//! trainable state lives in the store.
 
 mod attention;
 mod embedding;
@@ -12,7 +15,7 @@ mod norm;
 mod rnn;
 mod transformer;
 
-pub use attention::MultiHeadAttention;
+pub use attention::{KvInput, MultiHeadAttention};
 pub use embedding::Embedding;
 pub use linear::Linear;
 pub use norm::LayerNorm;
@@ -22,7 +25,21 @@ pub use transformer::{
     TransformerDecoder, TransformerEncoder,
 };
 
+use crate::infer::InferScratch;
+use crate::params::ParamStore;
+use crate::pool::RotomPool;
 use rotom_rng::rngs::StdRng;
+
+/// Per-call context of the tape-free `infer` methods: the parameter store,
+/// the pool full-shape GEMMs fan out on, and the activation workspace.
+pub struct InferCtx<'a> {
+    /// Parameter store the layers read weights from.
+    pub store: &'a ParamStore,
+    /// Worker pool for full-pass GEMMs (bands always run serially).
+    pub pool: &'a RotomPool,
+    /// Recycled activation buffers.
+    pub scratch: &'a mut InferScratch,
+}
 
 /// Per-forward context: parameter store plus (optionally) a dropout source.
 ///
@@ -30,7 +47,7 @@ use rotom_rng::rngs::StdRng;
 /// dropout layers become identity.
 pub struct FwdCtx<'a> {
     /// Parameter store the layers read weights from.
-    pub store: &'a crate::params::ParamStore,
+    pub store: &'a ParamStore,
     /// Dropout probability applied inside layers that support it.
     pub dropout: f32,
     /// RNG for dropout masks; `None` disables dropout (eval mode).
@@ -39,7 +56,7 @@ pub struct FwdCtx<'a> {
 
 impl<'a> FwdCtx<'a> {
     /// Evaluation-mode context (no dropout).
-    pub fn eval(store: &'a crate::params::ParamStore) -> Self {
+    pub fn eval(store: &'a ParamStore) -> Self {
         Self {
             store,
             dropout: 0.0,
@@ -48,7 +65,7 @@ impl<'a> FwdCtx<'a> {
     }
 
     /// Training-mode context with dropout probability `p`.
-    pub fn train(store: &'a crate::params::ParamStore, p: f32, rng: &'a mut StdRng) -> Self {
+    pub fn train(store: &'a ParamStore, p: f32, rng: &'a mut StdRng) -> Self {
         Self {
             store,
             dropout: p,
@@ -74,7 +91,6 @@ impl<'a> FwdCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::ParamStore;
     use rotom_rng::SeedableRng;
 
     #[test]

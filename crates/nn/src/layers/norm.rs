@@ -1,5 +1,6 @@
 //! Layer normalization.
 
+use super::InferCtx;
 use crate::graph::{NodeId, Tape};
 use crate::init::Initializer;
 use crate::params::{ParamId, ParamStore};
@@ -31,13 +32,13 @@ impl LayerNorm {
         tape.layer_norm(x, g, b, self.eps)
     }
 
-    /// Forward-only row-wise normalization of a `rows × dim` buffer into
-    /// `out`, bit-identical to the tape's `layer_norm` op. Layer norm is
-    /// per-row, so this also serves row bands directly.
-    pub fn infer_forward(&self, x: &[f32], rows: usize, store: &ParamStore, out: &mut [f32]) {
-        let g = store.value(self.gamma);
-        let b = store.value(self.beta);
-        crate::kernels::layernorm_fwd(x, g.data(), b.data(), self.eps, rows, g.cols(), out);
+    /// Forward-only row-wise normalization of `x` into `out` (same shape),
+    /// bit-identical to the tape's `layer_norm` op. Layer norm is per-row,
+    /// so this serves row bands directly.
+    pub fn infer(&self, x: &[f32], ctx: &InferCtx<'_>, out: &mut [f32]) {
+        let g = ctx.store.value(self.gamma).data();
+        let b = ctx.store.value(self.beta).data();
+        crate::kernels::layernorm_fwd(x, g, b, self.eps, out, None);
     }
 }
 

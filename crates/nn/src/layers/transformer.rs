@@ -5,16 +5,14 @@
 //! for T5). Pre-norm residual blocks are used for training stability at small
 //! scale.
 
-use super::attention::MultiHeadAttention;
+use super::attention::{KvInput, MultiHeadAttention};
 use super::embedding::Embedding;
 use super::linear::Linear;
 use super::norm::LayerNorm;
-use super::FwdCtx;
+use super::{FwdCtx, InferCtx};
 use crate::graph::{AttnMask, NodeId, Tape};
-use crate::infer::InferScratch;
-use crate::kernels::{self, Act};
+use crate::kernels::{self, Act, Rows};
 use crate::params::ParamStore;
-use crate::pool::RotomPool;
 use crate::tensor::Tensor;
 use rotom_rng::rngs::StdRng;
 
@@ -55,14 +53,21 @@ impl TransformerConfig {
 /// Additive causal mask of shape `tq x tk`: position `i` may attend to
 /// keys `0..=i + (tk - tq)`.
 pub fn causal_mask(tq: usize, tk: usize) -> AttnMask {
-    let offset = tk - tq;
     let mut m = Tensor::zeros(tq, tk);
-    for i in 0..tq {
-        for j in (i + offset + 1)..tk {
-            *m.at_mut(i, j) = -1e9;
-        }
-    }
+    causal_mask_into(tq, tk, m.data_mut());
     m
+}
+
+/// Write the [`causal_mask`] values into `out` (`tq × tk`, fully
+/// overwritten) — the inference plane's allocation-free form.
+fn causal_mask_into(tq: usize, tk: usize, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), tq * tk);
+    let offset = tk - tq;
+    for (i, row) in out.chunks_exact_mut(tk.max(1)).enumerate() {
+        let (visible, hidden) = row.split_at_mut(i + offset + 1);
+        visible.fill(0.0);
+        hidden.fill(-1e9);
+    }
 }
 
 /// Position-wise feed-forward block: `Linear -> GELU -> Linear`.
@@ -93,44 +98,15 @@ impl FeedForward {
         self.l2.forward(tape, h, store)
     }
 
-    /// Forward-only application over a `rows × d_model` buffer into `out`,
-    /// bit-identical to [`forward`](Self::forward) (the GELU is fused into
-    /// the first GEMM's epilogue, which applies the same per-element ops).
-    pub fn infer_forward(
-        &self,
-        x: &[f32],
-        rows: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let mut h = scratch.take(rows * self.l1.out_dim());
-        self.l1
-            .infer_forward(x, rows, Act::Gelu, store, pool, &mut h);
-        self.l2.infer_forward(&h, rows, Act::None, store, pool, out);
-        scratch.put(h);
-    }
-
-    /// Band replay of [`infer_forward`](Self::infer_forward): only the
-    /// `band_len` rows starting at a [`kernels::band_rows`] boundary of a
-    /// `full_rows`-row input are computed, bit-identically.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band(
-        &self,
-        x_band: &[f32],
-        full_rows: usize,
-        band_len: usize,
-        store: &ParamStore,
-        scratch: &mut InferScratch,
-        out: &mut [f32],
-    ) {
-        let mut h = scratch.take(band_len * self.l1.out_dim());
-        self.l1
-            .infer_forward_band(x_band, full_rows, band_len, Act::Gelu, store, &mut h);
-        self.l2
-            .infer_forward_band(&h, full_rows, band_len, Act::None, store, out);
-        scratch.put(h);
+    /// Forward-only application to `rows` (`x`: `rows.len × d_model`, `out`
+    /// likewise), bit-identical to the same rows of
+    /// [`forward`](Self::forward) (the GELU is fused into the first GEMM's
+    /// epilogue, which applies the same per-element ops).
+    pub fn infer(&self, x: &[f32], rows: Rows, ctx: &mut InferCtx<'_>, out: &mut [f32]) {
+        let mut h = ctx.scratch.take(rows.len * self.l1.out_dim());
+        self.l1.infer(x, rows, Act::Gelu, ctx, &mut h);
+        self.l2.infer(&h, rows, Act::None, ctx, out);
+        ctx.scratch.put(h);
     }
 }
 
@@ -176,76 +152,28 @@ impl EncoderLayer {
         tape.add(x, f)
     }
 
-    /// Forward-only application, updating the `t × d` buffer `x` in place.
-    /// Bit-identical to [`forward`](Self::forward) in eval mode (dropout at
-    /// probability 0 is the identity and consumes no randomness).
-    pub fn infer_forward(
-        &self,
-        x: &mut [f32],
-        t: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-    ) {
+    /// Forward-only application: from the full `rows.full × d` input `x`,
+    /// compute the `rows` output rows into `out` (`rows.len × d`).
+    /// Bit-identical to the same rows of [`forward`](Self::forward) in eval
+    /// mode (dropout at probability 0 is the identity and consumes no
+    /// randomness). The first layer norm runs over all rows because every
+    /// query row attends to every key; everything after the attention is
+    /// per-row, and its norms reuse the first norm's buffer.
+    pub fn infer(&self, x: &[f32], rows: Rows, ctx: &mut InferCtx<'_>, out: &mut [f32]) {
         let d = self.attn.d_model();
-        let mut n = scratch.take(t * d);
-        let mut a = scratch.take(t * d);
-        self.ln1.infer_forward(x, t, store, &mut n);
+        let mut n = ctx.scratch.take(x.len());
+        let mut a = ctx.scratch.take(rows.len * d);
+        self.ln1.infer(x, ctx, &mut n);
+        let q = &n[rows.span(d)];
         self.attn
-            .infer_forward(&n, &n, t, t, None, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        self.ln2.infer_forward(x, t, store, &mut n);
-        self.ff.infer_forward(&n, t, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        scratch.put(n);
-        scratch.put(a);
-    }
-
-    /// Band replay: given the full `t × d` input `x`, compute only the
-    /// `band_len` output rows starting at `band_start` (a
-    /// [`kernels::band_rows`] boundary) into `out_band`. The first layer
-    /// norm still runs over all rows because every query row attends to
-    /// every key; everything after the attention is per-row.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_tail(
-        &self,
-        x: &[f32],
-        t: usize,
-        band_start: usize,
-        band_len: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out_band: &mut [f32],
-    ) {
-        let d = self.attn.d_model();
-        let band = band_start * d..(band_start + band_len) * d;
-        let mut n1 = scratch.take(t * d);
-        let mut a = scratch.take(band_len * d);
-        let mut x2 = scratch.take(band_len * d);
-        let mut n2 = scratch.take(band_len * d);
-        self.ln1.infer_forward(x, t, store, &mut n1);
-        self.attn.infer_forward_band(
-            &n1[band.clone()],
-            &n1,
-            t,
-            band_len,
-            t,
-            None,
-            store,
-            pool,
-            scratch,
-            &mut a,
-        );
-        kernels::add_fwd(&x[band], &a, &mut x2);
-        self.ln2.infer_forward(&x2, band_len, store, &mut n2);
-        self.ff
-            .infer_forward_band(&n2, t, band_len, store, scratch, &mut a);
-        kernels::add_fwd(&x2, &a, out_band);
-        scratch.put(n1);
-        scratch.put(a);
-        scratch.put(x2);
-        scratch.put(n2);
+            .infer(q, rows, KvInput::Raw(&n), None, ctx, &mut a);
+        kernels::add_fwd(&x[rows.span(d)], &a, out);
+        let n2 = &mut n[..rows.len * d];
+        self.ln2.infer(out, ctx, n2);
+        self.ff.infer(n2, rows, ctx, &mut a);
+        kernels::add_assign_fwd(out, &a);
+        ctx.scratch.put(n);
+        ctx.scratch.put(a);
     }
 }
 
@@ -315,98 +243,42 @@ impl DecoderLayer {
         tape.add(x, f)
     }
 
-    /// Forward-only application, updating the `t × d` buffer `x` in place.
-    /// Cross-attention keys/values come precomputed (`cross_k`/`cross_v`,
-    /// `mem_rows × d` each — see
-    /// [`MultiHeadAttention::infer_project_kv`]); `self_mask` is the full
-    /// `t × t` causal mask data. Bit-identical to
-    /// [`forward`](Self::forward) in eval mode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward(
-        &self,
-        x: &mut [f32],
-        t: usize,
-        cross_k: &[f32],
-        cross_v: &[f32],
-        mem_rows: usize,
-        self_mask: &[f32],
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-    ) {
-        let d = self.self_attn.d_model();
-        let mut n = scratch.take(t * d);
-        let mut a = scratch.take(t * d);
-        self.ln1.infer_forward(x, t, store, &mut n);
-        self.self_attn
-            .infer_forward(&n, &n, t, t, Some(self_mask), store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        self.ln2.infer_forward(x, t, store, &mut n);
-        self.cross_attn.infer_forward_cached(
-            &n, t, cross_k, cross_v, mem_rows, None, store, pool, scratch, &mut a,
-        );
-        kernels::add_assign_fwd(x, &a);
-        self.ln3.infer_forward(x, t, store, &mut n);
-        self.ff.infer_forward(&n, t, store, pool, scratch, &mut a);
-        kernels::add_assign_fwd(x, &a);
-        scratch.put(n);
-        scratch.put(a);
-    }
-
-    /// Band replay: compute only the `band_len` output rows starting at
-    /// `band_start` from the full `t × d` input `x`. `self_mask_band` holds
-    /// the band's rows of the full causal mask (`band_len × t`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn infer_forward_band_tail(
+    /// Forward-only application: from the full `rows.full × d` decoder
+    /// state `x`, compute the `rows` output rows into `out` (`rows.len × d`).
+    /// `cross` is the encoder memory's key/value operand (typically
+    /// projected once per generation, see [`DecoderKvCache`]); `self_mask`
+    /// holds the computed rows of the causal mask (`rows.len × rows.full`).
+    /// Bit-identical to the same rows of [`forward`](Self::forward) in eval
+    /// mode.
+    pub fn infer(
         &self,
         x: &[f32],
-        t: usize,
-        band_start: usize,
-        band_len: usize,
-        cross_k: &[f32],
-        cross_v: &[f32],
-        mem_rows: usize,
-        self_mask_band: &[f32],
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
-        out_band: &mut [f32],
+        rows: Rows,
+        cross: KvInput<'_>,
+        self_mask: &[f32],
+        ctx: &mut InferCtx<'_>,
+        out: &mut [f32],
     ) {
         let d = self.self_attn.d_model();
-        let band = band_start * d..(band_start + band_len) * d;
-        let mut n1 = scratch.take(t * d);
-        let mut a = scratch.take(band_len * d);
-        let mut x2 = scratch.take(band_len * d);
-        let mut nb = scratch.take(band_len * d);
-        let mut x3 = scratch.take(band_len * d);
-        self.ln1.infer_forward(x, t, store, &mut n1);
-        self.self_attn.infer_forward_band(
-            &n1[band.clone()],
-            &n1,
-            t,
-            band_len,
-            t,
-            Some(self_mask_band),
-            store,
-            pool,
-            scratch,
-            &mut a,
-        );
-        kernels::add_fwd(&x[band], &a, &mut x2);
-        self.ln2.infer_forward(&x2, band_len, store, &mut nb);
-        self.cross_attn.infer_forward_band_cached(
-            &nb, t, band_len, cross_k, cross_v, mem_rows, None, store, pool, scratch, &mut a,
-        );
-        kernels::add_fwd(&x2, &a, &mut x3);
-        self.ln3.infer_forward(&x3, band_len, store, &mut nb);
-        self.ff
-            .infer_forward_band(&nb, t, band_len, store, scratch, &mut a);
-        kernels::add_fwd(&x3, &a, out_band);
-        scratch.put(n1);
-        scratch.put(a);
-        scratch.put(x2);
-        scratch.put(nb);
-        scratch.put(x3);
+        let mut n = ctx.scratch.take(x.len());
+        let mut a = ctx.scratch.take(rows.len * d);
+        self.ln1.infer(x, ctx, &mut n);
+        let q = &n[rows.span(d)];
+        let self_kv = KvInput::Raw(&n);
+        self.self_attn
+            .infer(q, rows, self_kv, Some(self_mask), ctx, &mut a);
+        kernels::add_fwd(&x[rows.span(d)], &a, out);
+        // The per-row norms after self-attention reuse the first norm's
+        // buffer.
+        let nb = &mut n[..rows.len * d];
+        self.ln2.infer(out, ctx, nb);
+        self.cross_attn.infer(nb, rows, cross, None, ctx, &mut a);
+        kernels::add_assign_fwd(out, &a);
+        self.ln3.infer(out, ctx, nb);
+        self.ff.infer(nb, rows, ctx, &mut a);
+        kernels::add_assign_fwd(out, &a);
+        ctx.scratch.put(n);
+        ctx.scratch.put(a);
     }
 }
 
@@ -517,83 +389,94 @@ impl TransformerEncoder {
         &self,
         ids: &[usize],
         extras: &[(&Embedding, &[usize])],
-        store: &ParamStore,
-        scratch: &mut InferScratch,
+        ctx: &mut InferCtx<'_>,
     ) -> (Vec<f32>, usize) {
-        let d = self.cfg.d_model;
         let t = ids.len().min(self.cfg.max_len);
-        let ids = &ids[..t];
-        let mut x = scratch.take(t * d);
-        self.tok.infer_gather(store, ids, &mut x);
-        // Positions are 0..t, so the gather is the table's leading rows.
-        kernels::add_assign_fwd(&mut x, &store.value(self.pos.table()).data()[..t * d]);
-        let mut fe = scratch.take(t * d);
+        let mut x = infer_token_embed(&self.tok, &self.pos, &ids[..t], ctx);
+        let mut fe = ctx.scratch.take(x.len());
         for (table, feats) in extras {
             assert!(feats.len() >= t, "feature ids shorter than input");
-            table.infer_gather(store, &feats[..t], &mut fe);
+            table.infer_gather(ctx.store, &feats[..t], &mut fe);
             kernels::add_assign_fwd(&mut x, &fe);
         }
-        scratch.put(fe);
+        ctx.scratch.put(fe);
         (x, t)
+    }
+
+    /// Run the layers and the final norm over the `t × d` embeddings `x`
+    /// (consumed), computing only `rows` of the last layer and the norm:
+    /// earlier layers feed every position into the next attention, so they
+    /// run in full. Returns the `rows.len × d` result from the scratch.
+    fn infer_rows(&self, mut x: Vec<f32>, rows: Rows, ctx: &mut InferCtx<'_>) -> Vec<f32> {
+        let d = self.cfg.d_model;
+        let last = self.layers.len().saturating_sub(1);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let lr = if i == last {
+                rows
+            } else {
+                Rows::all(rows.full)
+            };
+            let mut y = ctx.scratch.take(lr.len * d);
+            layer.infer(&x, lr, ctx, &mut y);
+            ctx.scratch.put(std::mem::replace(&mut x, y));
+        }
+        let band = if self.layers.is_empty() {
+            &x[rows.span(d)]
+        } else {
+            &x[..]
+        };
+        let mut out = ctx.scratch.take(rows.len * d);
+        self.ln_f.infer(band, ctx, &mut out);
+        ctx.scratch.put(x);
+        out
     }
 
     /// Forward-only, tape-free encoding of `ids` (truncated to `max_len`):
     /// returns the `t × d` hidden states and `t`. Bit-identical to
     /// [`forward_with`](Self::forward_with) under [`FwdCtx::eval`]. The
-    /// returned buffer comes from `scratch`; hand it back with
-    /// [`InferScratch::put`] when done.
+    /// returned buffer comes from `ctx.scratch`; hand it back when done.
     pub fn infer_forward_with(
         &self,
         ids: &[usize],
         extras: &[(&Embedding, &[usize])],
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
+        ctx: &mut InferCtx<'_>,
     ) -> (Vec<f32>, usize) {
-        let (mut x, t) = self.infer_embed(ids, extras, store, scratch);
-        for layer in &self.layers {
-            layer.infer_forward(&mut x, t, store, pool, scratch);
-        }
-        let mut out = scratch.take(t * self.cfg.d_model);
-        self.ln_f.infer_forward(&x, t, store, &mut out);
-        scratch.put(x);
-        (out, t)
+        let (x, t) = self.infer_embed(ids, extras, ctx);
+        (self.infer_rows(x, Rows::all(t), ctx), t)
     }
 
-    /// Forward-only [CLS] encoding into `cls_out` (`d_model` floats),
+    /// Forward-only `[CLS]` encoding into `cls_out` (`d_model` floats),
     /// bit-identical to [`encode_cls_with`](Self::encode_cls_with) under
-    /// [`FwdCtx::eval`]. Only the final layer is band-restricted to the
-    /// leading rows (earlier layers feed every position into the next
-    /// attention, so they must run in full).
+    /// [`FwdCtx::eval`]: only the band holding row 0 of the last layer and
+    /// the final norm is computed.
     pub fn infer_encode_cls_with(
         &self,
         ids: &[usize],
         extras: &[(&Embedding, &[usize])],
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
+        ctx: &mut InferCtx<'_>,
         cls_out: &mut [f32],
     ) {
-        let d = self.cfg.d_model;
-        let (mut x, t) = self.infer_embed(ids, extras, store, scratch);
-        let (band_start, band_len) = kernels::band_rows(t, 0);
-        debug_assert_eq!(band_start, 0);
-        let mut band = scratch.take(band_len * d);
-        if let Some((last, init)) = self.layers.split_last() {
-            for layer in init {
-                layer.infer_forward(&mut x, t, store, pool, scratch);
-            }
-            last.infer_forward_band_tail(&x, t, 0, band_len, store, pool, scratch, &mut band);
-        } else {
-            band.copy_from_slice(&x[..band_len * d]);
-        }
-        let mut normed = scratch.take(band_len * d);
-        self.ln_f.infer_forward(&band, band_len, store, &mut normed);
-        cls_out.copy_from_slice(&normed[..d]);
-        scratch.put(x);
-        scratch.put(band);
-        scratch.put(normed);
+        let (x, t) = self.infer_embed(ids, extras, ctx);
+        let band = self.infer_rows(x, Rows::band(t, 0), ctx);
+        cls_out.copy_from_slice(&band[..self.cfg.d_model]);
+        ctx.scratch.put(band);
     }
+}
+
+/// Token + positional embedding of `ids` into a fresh `ids.len() × d`
+/// scratch buffer, as the tape's `add(embedding, embedding)` computes it.
+fn infer_token_embed(
+    tok: &Embedding,
+    pos: &Embedding,
+    ids: &[usize],
+    ctx: &mut InferCtx<'_>,
+) -> Vec<f32> {
+    let len = ids.len() * tok.dim();
+    let mut x = ctx.scratch.take(len);
+    tok.infer_gather(ctx.store, ids, &mut x);
+    // Positions are 0..t, so the gather is the table's leading rows.
+    kernels::add_assign_fwd(&mut x, &ctx.store.value(pos.table()).data()[..len]);
+    x
 }
 
 /// Decoder stack with output projection tied to its own token embedding.
@@ -664,30 +547,18 @@ impl TransformerDecoder {
     /// (`mem_rows × d`). During autoregressive decoding the encoder memory
     /// is fixed, so these projections are identical at every step — caching
     /// them is a pure reuse of bit-identical values.
-    pub fn infer_prepare(
-        &self,
-        memory: &[f32],
-        mem_rows: usize,
-        store: &ParamStore,
-        pool: &RotomPool,
-    ) -> DecoderKvCache {
-        let d = self.cfg.d_model;
+    pub fn infer_prepare(&self, memory: &[f32], ctx: &InferCtx<'_>) -> DecoderKvCache {
         let per_layer = self
             .layers
             .iter()
             .map(|layer| {
-                let mut k = vec![0.0f32; mem_rows * d];
-                let mut v = vec![0.0f32; mem_rows * d];
-                layer
-                    .cross_attn
-                    .infer_project_kv(memory, mem_rows, store, pool, &mut k, &mut v);
+                let mut k = vec![0.0f32; memory.len()];
+                let mut v = vec![0.0f32; memory.len()];
+                layer.cross_attn.project_kv(memory, ctx, &mut k, &mut v);
                 (k, v)
             })
             .collect();
-        DecoderKvCache {
-            per_layer,
-            mem_rows,
-        }
+        DecoderKvCache { per_layer }
     }
 
     /// Forward-only decode of the prefix `ids` returning only the LAST
@@ -696,79 +567,42 @@ impl TransformerDecoder {
     /// [`forward`](Self::forward) under [`FwdCtx::eval`]: all but the final
     /// layer run in full (their outputs feed every later position), while
     /// the final layer, final norm, and the vocab projection — by far the
-    /// widest GEMM — replay only the last row's band.
+    /// widest GEMM — compute only the last row's band.
     pub fn infer_last_logits(
         &self,
         ids: &[usize],
         cache: &DecoderKvCache,
-        store: &ParamStore,
-        pool: &RotomPool,
-        scratch: &mut InferScratch,
+        ctx: &mut InferCtx<'_>,
         logits_out: &mut [f32],
     ) {
-        let d = self.cfg.d_model;
+        let (d, vocab) = (self.cfg.d_model, self.cfg.vocab);
         let t = ids.len().min(self.cfg.max_len);
-        let ids = &ids[..t];
-        let mut x = scratch.take(t * d);
-        self.tok.infer_gather(store, ids, &mut x);
-        kernels::add_assign_fwd(&mut x, &store.value(self.pos.table()).data()[..t * d]);
-        let mut mask = scratch.take(t * t);
-        mask.fill(0.0);
-        for i in 0..t {
-            for j in (i + 1)..t {
-                mask[i * t + j] = -1e9;
-            }
+        let mut x = infer_token_embed(&self.tok, &self.pos, &ids[..t], ctx);
+        let mut mask = ctx.scratch.take(t * t);
+        causal_mask_into(t, t, &mut mask);
+        let rows = Rows::band(t, t - 1);
+        let last = self.layers.len().saturating_sub(1);
+        for (i, (layer, (k, v))) in self.layers.iter().zip(&cache.per_layer).enumerate() {
+            let lr = if i == last { rows } else { Rows::all(t) };
+            let mut y = ctx.scratch.take(lr.len * d);
+            let cross = KvInput::Projected(k, v);
+            layer.infer(&x, lr, cross, &mask[lr.span(t)], ctx, &mut y);
+            ctx.scratch.put(std::mem::replace(&mut x, y));
         }
-        let (band_start, band_len) = kernels::band_rows(t, t - 1);
-        let mut band = scratch.take(band_len * d);
-        if let Some((last, init)) = self.layers.split_last() {
-            for (li, layer) in init.iter().enumerate() {
-                let (ck, cv) = &cache.per_layer[li];
-                layer.infer_forward(
-                    &mut x,
-                    t,
-                    ck,
-                    cv,
-                    cache.mem_rows,
-                    &mask,
-                    store,
-                    pool,
-                    scratch,
-                );
-            }
-            let li = self.layers.len() - 1;
-            let (ck, cv) = &cache.per_layer[li];
-            last.infer_forward_band_tail(
-                &x,
-                t,
-                band_start,
-                band_len,
-                ck,
-                cv,
-                cache.mem_rows,
-                &mask[band_start * t..(band_start + band_len) * t],
-                store,
-                pool,
-                scratch,
-                &mut band,
-            );
+        let band = if self.layers.is_empty() {
+            &x[rows.span(d)]
         } else {
-            band.copy_from_slice(&x[band_start * d..(band_start + band_len) * d]);
+            &x[..]
+        };
+        let mut normed = ctx.scratch.take(rows.len * d);
+        self.ln_f.infer(band, ctx, &mut normed);
+        let mut proj = ctx.scratch.take(rows.len * vocab);
+        self.proj.infer(&normed, rows, Act::None, ctx, &mut proj);
+        let r = t - 1 - rows.start;
+        logits_out.copy_from_slice(&proj[r * vocab..(r + 1) * vocab]);
+        for buf in [x, mask, normed, proj] {
+            ctx.scratch.put(buf);
         }
-        let mut normed = scratch.take(band_len * d);
-        self.ln_f.infer_forward(&band, band_len, store, &mut normed);
-        let mut proj_band = scratch.take(band_len * self.cfg.vocab);
-        self.proj
-            .infer_forward_band(&normed, t, band_len, Act::None, store, &mut proj_band);
-        let last_row = t - 1 - band_start;
-        logits_out.copy_from_slice(
-            &proj_band[last_row * self.cfg.vocab..(last_row + 1) * self.cfg.vocab],
-        );
-        scratch.put(x);
-        scratch.put(mask);
-        scratch.put(band);
-        scratch.put(normed);
-        scratch.put(proj_band);
     }
 }
 
@@ -777,12 +611,13 @@ impl TransformerDecoder {
 /// steps of one generation.
 pub struct DecoderKvCache {
     per_layer: Vec<(Vec<f32>, Vec<f32>)>,
-    mem_rows: usize,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::infer::InferScratch;
+    use crate::pool::RotomPool;
     use rotom_rng::SeedableRng;
 
     #[test]
@@ -839,6 +674,11 @@ mod tests {
         let mut scratch = InferScratch::new();
         for threads in [1usize, 8] {
             let pool = RotomPool::new(threads);
+            let mut ictx = InferCtx {
+                store: &store,
+                pool: &pool,
+                scratch: &mut scratch,
+            };
             for ids in [
                 vec![1usize],
                 vec![4, 9, 2],
@@ -851,13 +691,13 @@ mod tests {
                 let cls = enc.encode_cls(&mut tape, &ids, &mut ctx);
                 let expect_cls = tape.value(cls).data().to_vec();
 
-                let (got, t) = enc.infer_forward_with(&ids, &[], &store, &pool, &mut scratch);
+                let (got, t) = enc.infer_forward_with(&ids, &[], &mut ictx);
                 assert_eq!(t, ids.len());
                 assert_eq!(expect, got, "full ids={ids:?} threads={threads}");
-                scratch.put(got);
+                ictx.scratch.put(got);
 
                 let mut got_cls = vec![0.0f32; 32];
-                enc.infer_encode_cls_with(&ids, &[], &store, &pool, &mut scratch, &mut got_cls);
+                enc.infer_encode_cls_with(&ids, &[], &mut ictx, &mut got_cls);
                 assert_eq!(expect_cls, got_cls, "cls ids={ids:?} threads={threads}");
             }
         }
@@ -874,8 +714,13 @@ mod tests {
         let mut scratch = InferScratch::new();
         for threads in [1usize, 8] {
             let pool = RotomPool::new(threads);
-            let (memory, mem_rows) = enc.infer_forward_with(&src, &[], &store, &pool, &mut scratch);
-            let cache = dec.infer_prepare(&memory, mem_rows, &store, &pool);
+            let mut ictx = InferCtx {
+                store: &store,
+                pool: &pool,
+                scratch: &mut scratch,
+            };
+            let (memory, _) = enc.infer_forward_with(&src, &[], &mut ictx);
+            let cache = dec.infer_prepare(&memory, &ictx);
             for prefix_len in [1usize, 2, 5, 9] {
                 let prefix: Vec<usize> = (0..prefix_len).map(|i| (i * 3 + 1) % 50).collect();
                 let mut tape = Tape::new();
@@ -885,15 +730,24 @@ mod tests {
                 let expect = tape.value(logits).row_slice(prefix_len - 1).to_vec();
 
                 let mut got = vec![0.0f32; 50];
-                dec.infer_last_logits(&prefix, &cache, &store, &pool, &mut scratch, &mut got);
+                dec.infer_last_logits(&prefix, &cache, &mut ictx, &mut got);
                 assert_eq!(expect, got, "prefix_len={prefix_len} threads={threads}");
             }
-            scratch.put(memory);
+            ictx.scratch.put(memory);
         }
     }
 
     #[test]
     fn causal_mask_shape_and_pattern() {
+        for (tq, tk) in [(1, 1), (3, 3), (2, 5), (4, 4)] {
+            let m = causal_mask(tq, tk);
+            for i in 0..tq {
+                for j in 0..tk {
+                    let hidden = j > i + (tk - tq);
+                    assert_eq!(m.at(i, j), if hidden { -1e9 } else { 0.0 });
+                }
+            }
+        }
         let m = causal_mask(3, 3);
         assert_eq!(m.at(0, 1), -1e9);
         assert_eq!(m.at(1, 1), 0.0);

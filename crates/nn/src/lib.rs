@@ -43,6 +43,7 @@
 
 pub mod checkpoint;
 pub mod faultpoint;
+mod freelist;
 pub mod gradcheck;
 mod graph;
 pub mod health;
@@ -59,6 +60,7 @@ mod tensor;
 
 pub use checkpoint::{CheckpointError, NonFinitePolicy, StateBag, StateEntry};
 pub use faultpoint::{FaultKilled, FaultKind};
+pub use freelist::FreeList;
 pub use graph::{
     pooled_tape_stats, recycle_tape, take_pooled_tape, tape_eviction_count, with_pooled_tape,
     AttnMask, NodeId, Tape,
@@ -68,8 +70,8 @@ pub use infer::{with_infer_scratch, InferScratch, ScoreCache};
 pub use init::Initializer;
 pub use layers::{
     causal_mask, DecoderKvCache, DecoderLayer, Embedding, EncoderLayer, FeedForward, FwdCtx, Gru,
-    LayerNorm, Linear, MultiHeadAttention, TransformerConfig, TransformerDecoder,
-    TransformerEncoder,
+    InferCtx, KvInput, LayerNorm, Linear, MultiHeadAttention, TransformerConfig,
+    TransformerDecoder, TransformerEncoder,
 };
 pub use optim::{Adam, Sgd};
 pub use params::{ParamId, ParamPacks, ParamStore, QuantMode};

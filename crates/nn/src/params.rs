@@ -14,8 +14,8 @@ use std::sync::{Arc, OnceLock};
 
 /// Numeric mode of the inference plane for one model (one [`ParamStore`]).
 ///
-/// Consulted only by the forward-only layer twins (`Linear::infer_forward*`)
-/// — the training tape never reads it, so training stays bit-exact f32
+/// Consulted only by the tape-free `Linear::infer` — the training tape
+/// never reads it, so training stays bit-exact f32
 /// regardless of the mode. [`QuantMode::I8`] routes large-enough inference
 /// GEMMs through the quantized i8 kernel with per-output-row weight scales
 /// (see `kernels::matmul_bias_act_i8_into`); results then carry a bounded

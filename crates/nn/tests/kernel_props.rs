@@ -10,8 +10,8 @@
 //! cannot hide behind a lucky fixed shape.
 
 use rotom_nn::kernels::{
-    matmul_naive, matmul_transpose_a_with_pool, matmul_transpose_b_naive,
-    matmul_transpose_b_with_pool, matmul_with_pool, transpose, MR, NR, PAR_MIN_FLOPS, SMALL_FLOPS,
+    matmul_into, matmul_naive, matmul_transpose_a_into, matmul_transpose_b_into,
+    matmul_transpose_b_naive, transpose, MR, NR, PAR_MIN_FLOPS, SMALL_FLOPS,
 };
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
@@ -58,23 +58,16 @@ fn check_shape(m: usize, k: usize, n: usize, seed: u64) {
     let ab = matmul_naive(&a, &b, m, k, n);
     let abt = matmul_transpose_b_naive(&a, &bt, m, k, n);
     let atg = matmul_naive(&transpose(&a, m, k), &g, k, m, n);
+    let mut out = vec![0.0f32; m * n];
+    let mut out_ta = vec![0.0f32; k * n];
     for &w in WORKERS {
         let pool = RotomPool::new(w);
-        assert_close(
-            &matmul_with_pool(&a, &b, m, k, n, &pool),
-            &ab,
-            &format!("matmul {m}x{k}x{n} workers={w}"),
-        );
-        assert_close(
-            &matmul_transpose_b_with_pool(&a, &bt, m, k, n, &pool),
-            &abt,
-            &format!("matmul_tb {m}x{k}x{n} workers={w}"),
-        );
-        assert_close(
-            &matmul_transpose_a_with_pool(&a, &g, m, k, n, &pool),
-            &atg,
-            &format!("matmul_ta {m}x{k}x{n} workers={w}"),
-        );
+        matmul_into(&a, &b, None, m, k, n, &pool, &mut out);
+        assert_close(&out, &ab, &format!("matmul {m}x{k}x{n} workers={w}"));
+        matmul_transpose_b_into(&a, &bt, None, m, k, n, &pool, &mut out);
+        assert_close(&out, &abt, &format!("matmul_tb {m}x{k}x{n} workers={w}"));
+        matmul_transpose_a_into(&a, &g, m, k, n, &pool, &mut out_ta);
+        assert_close(&out_ta, &atg, &format!("matmul_ta {m}x{k}x{n} workers={w}"));
     }
 }
 

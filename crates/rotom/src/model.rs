@@ -15,7 +15,8 @@ use rotom_augment::mixda::sample_lambda;
 use rotom_meta::{MetaTarget, WeightedItem};
 use rotom_nn::{
     kernels, recycle_tape, take_pooled_tape, with_infer_scratch, with_pooled_tape, Adam, Embedding,
-    FwdCtx, Linear, NodeId, ParamStore, QuantMode, RotomPool, ScoreCache, Tape, TransformerEncoder,
+    FwdCtx, InferCtx, Linear, NodeId, ParamStore, QuantMode, RotomPool, ScoreCache, Tape,
+    TransformerEncoder,
 };
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
@@ -433,15 +434,21 @@ impl TinyLm {
         }
         let pool = RotomPool::global();
         let logits = with_infer_scratch(|scratch| {
-            let mut cls = scratch.take(self.cfg.d_model);
+            let mut ctx = InferCtx {
+                store: &self.store,
+                pool,
+                scratch,
+            };
+            let mut cls = ctx.scratch.take(self.cfg.d_model);
             let extras: [(&Embedding, &[usize]); 2] =
                 [(&self.seg_emb, &segs), (&self.dup_emb, &dups)];
             self.encoder
-                .infer_encode_cls_with(&ids, &extras, &self.store, pool, scratch, &mut cls);
+                .infer_encode_cls_with(&ids, &extras, &mut ctx, &mut cls);
             let mut logits = vec![0.0f32; self.num_classes];
+            let one = kernels::Rows::all(1);
             self.head
-                .infer_forward(&cls, 1, kernels::Act::None, &self.store, pool, &mut logits);
-            scratch.put(cls);
+                .infer(&cls, one, kernels::Act::None, &ctx, &mut logits);
+            ctx.scratch.put(cls);
             logits
         });
         if let (Some(cache), Some(key)) = (&self.score_cache, &key) {
@@ -660,26 +667,17 @@ impl MetaTarget for TinyLm {
 
     fn per_example_losses(&self, items: &[WeightedItem]) -> Vec<f32> {
         // Forward-only and per-example independent: fan out across the pool
-        // on the tape-free inference plane, then apply the tape's exact
-        // cross-entropy arithmetic (shared softmax statistics, f64 target
-        // accumulation) to the logits.
+        // on the tape-free inference plane, then apply the tape's
+        // cross-entropy row kernel to the logits.
         RotomPool::global().map(items.len(), |i| {
             let item = &items[i];
             let logits = self.infer_logits(&item.tokens);
-            let (max, sum) = with_infer_scratch(|scratch| {
+            with_infer_scratch(|scratch| {
                 let mut probs = scratch.take(logits.len());
-                let stats = kernels::softmax_row_fwd(&logits, None, &mut probs);
+                let loss = kernels::cross_entropy_row(&logits, &item.target, &mut probs, 0.0);
                 scratch.put(probs);
-                stats
-            });
-            let lse = sum.ln() + max;
-            let mut loss = 0.0f64;
-            for (j, &t) in item.target.iter().enumerate() {
-                if t != 0.0 {
-                    loss -= (t * (logits[j] - lse)) as f64;
-                }
-            }
-            loss as f32
+                loss as f32
+            })
         })
     }
 

@@ -375,7 +375,7 @@ mod tests {
                 f32::MIN_POSITIVE,
                 1e-40, /* subnormal */
             ],
-            vec![0.999_999_94f32, 2.718_281_8],
+            vec![0.999_999_94f32, std::f32::consts::E],
         ];
         let text = render_scores(&rows);
         let parsed = parse_scores(&parse(&text).unwrap()).unwrap();
