@@ -30,6 +30,13 @@ echo "== gradcheck (autodiff vs central differences, every layer)"
 cargo test -q --offline -p rotom-nn gradcheck
 cargo test -q --offline -p rotom-nn --test gradcheck_layers
 
+# The in-tree exp/tanh over every f32 of their domains: exp within 1 ulp on
+# its normal-result range, tanh within 2 ulp, and the SIMD tier bit-identical
+# to the scalar one on each input. The plain test run covers a strided
+# sample only. About 3 minutes of CPU on 2 cores.
+echo "== exp/tanh exhaustive accuracy pass (release)"
+cargo test -q --release --offline -p rotom-nn --test transcendental -- --include-ignored
+
 echo "== golden snapshots present"
 if ! ls tests/golden/*.txt >/dev/null 2>&1; then
     echo "tests/golden/ has no snapshots; regenerate with" >&2

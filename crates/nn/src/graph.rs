@@ -89,7 +89,7 @@ enum Op {
     AddConst(NodeId),
     Relu(NodeId),
     /// GELU (tanh approximation); `t` caches the forward `tanh` values so
-    /// the backward rule skips the libm call (bit-identical reuse).
+    /// the backward rule skips recomputing them (bit-identical reuse).
     Gelu {
         a: NodeId,
         t: Vec<f32>,
@@ -471,9 +471,8 @@ impl Tape {
     }
 
     /// GELU (tanh approximation). The forward `tanh` values are cached on
-    /// the node for the backward rule — the expensive libm call is paid
-    /// once, and reusing the identical value keeps gradients bit-identical
-    /// to recomputation.
+    /// the node for the backward rule — `tanh` is paid once, and reusing
+    /// the identical value keeps gradients bit-identical to recomputation.
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
         let (m, n) = self.shape(a);
         let mut t = self.arena.take(m * n);
@@ -482,15 +481,17 @@ impl Tape {
         self.push(Op::Gelu { a, t }, Tensor::from_vec(out, m, n))
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`kernels::tanh_fwd`]).
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_into(a, f32::tanh);
-        self.push(Op::Tanh(a), v)
+        let (m, n) = self.shape(a);
+        let mut out = self.arena.take(m * n);
+        kernels::tanh_fwd(self.nodes[a.0].value.data(), &mut out);
+        self.push(Op::Tanh(a), Tensor::from_vec(out, m, n))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
-        let v = self.map_into(a, |x| 1.0 / (1.0 + (-x).exp()));
+        let v = self.map_into(a, |x| 1.0 / (1.0 + kernels::exp_f32(-x)));
         self.push(Op::Sigmoid(a), v)
     }
 
@@ -993,8 +994,10 @@ impl Tape {
                         let yr = y.row_slice(r);
                         let gr = grad.row_slice(r);
                         let gsum: f32 = gr.iter().sum();
-                        for ((d, &yv), &gv) in da[r * n..(r + 1) * n].iter_mut().zip(yr).zip(gr) {
-                            *d = gv - yv.exp() * gsum;
+                        let drow = &mut da[r * n..(r + 1) * n];
+                        kernels::exp_fwd(yr, drow);
+                        for (d, &gv) in drow.iter_mut().zip(gr) {
+                            *d = gv - *d * gsum;
                         }
                     }
                 }

@@ -51,6 +51,16 @@
 //! which is why cross-kernel tests compare within 1e-4 while
 //! cross-thread-count and cross-storage tests compare bits.
 //!
+//! The forward elementwise kernels (softmax, layer norm, GELU, adds and
+//! scales) have a scalar and a plain-AVX tier, picked once per process. Each
+//! SIMD step is the scalar step on 8 lanes with the same roundings (no FMA),
+//! and the order-sensitive folds (the softmax sum, the layer-norm mean and
+//! variance) stay scalar in index order, so both tiers give identical bits.
+//! `exp` and `tanh` are [`exp_f32`] and [`tanh_f32`]: in-tree sequences of
+//! IEEE `+ − × ÷` with bit-identical 8-lane twins, so their bits depend on
+//! neither the tier nor the host's libm. `ln` (the cross-entropy `lse`)
+//! still calls the host libm.
+//!
 //! Shapes below [`SMALL_FLOPS`] multiply-adds skip tiling (tiny meta-model
 //! updates would pay more in tile-edge handling than they save), and shapes
 //! below [`PAR_MIN_FLOPS`] skip the thread fan-out.
@@ -830,13 +840,141 @@ mod avx {
         }
     }
 
+    /// `2ⁿ` per lane — [`super::pow2i`] on 8 lanes (`vcvtps2dq` of an
+    /// exact integer is exact).
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`].
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn pow2i8(n: __m256) -> __m256 {
+        let bits = _mm256_mul_ps(
+            _mm256_add_ps(n, _mm256_set1_ps(127.0)),
+            _mm256_set1_ps(8_388_608.0),
+        );
+        _mm256_castsi256_ps(_mm256_cvtps_epi32(bits))
+    }
+
+    /// [`super::exp_f32`] on 8 lanes: the same steps in the same order, with
+    /// the scalar early returns (NaN, above `EXP_HI`, below `EXP_LO`) turned
+    /// into per-lane blends over the computed value.
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`].
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        use super::{EXP_HI, EXP_LO, EXP_P, LN2_HI, LN2_LO, LOG2E, ROUND};
+        let round = _mm256_set1_ps(ROUND);
+        let xl = _mm256_mul_ps(x, _mm256_set1_ps(LOG2E));
+        let n = _mm256_sub_ps(_mm256_add_ps(xl, round), round);
+        let hi = _mm256_sub_ps(x, _mm256_mul_ps(n, _mm256_set1_ps(LN2_HI)));
+        let lo = _mm256_mul_ps(n, _mm256_set1_ps(LN2_LO));
+        let r = _mm256_sub_ps(hi, lo);
+        let mut p = _mm256_set1_ps(EXP_P[0]);
+        for &c in &EXP_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(c));
+        }
+        let one = _mm256_set1_ps(1.0);
+        let a = _mm256_add_ps(one, hi);
+        let c = _mm256_sub_ps(hi, _mm256_sub_ps(a, one));
+        let tail = _mm256_add_ps(_mm256_sub_ps(c, lo), _mm256_mul_ps(p, _mm256_mul_ps(r, r)));
+        let e = _mm256_add_ps(a, tail);
+        let nh = _mm256_mul_ps(n, _mm256_set1_ps(0.5));
+        let n1 = _mm256_sub_ps(_mm256_add_ps(nh, round), round);
+        let v = _mm256_mul_ps(_mm256_mul_ps(e, pow2i8(n1)), pow2i8(_mm256_sub_ps(n, n1)));
+        let hi = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(EXP_HI));
+        let v = _mm256_blendv_ps(v, _mm256_set1_ps(f32::INFINITY), hi);
+        let lo = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_LO));
+        let v = _mm256_blendv_ps(v, _mm256_setzero_ps(), lo);
+        _mm256_blendv_ps(v, x, _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// [`super::tanh_f32`] on 8 lanes: both branches are evaluated on every
+    /// lane and blended by the scalar branch conditions (ordered compares,
+    /// so a NaN lane keeps the polynomial branch as in the scalar code).
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`].
+    #[target_feature(enable = "avx")]
+    #[inline]
+    unsafe fn tanh8(x: __m256) -> __m256 {
+        use super::{TANH_ONE, TANH_P, TANH_POLY};
+        let sign = _mm256_set1_ps(-0.0);
+        let one = _mm256_set1_ps(1.0);
+        let ax = _mm256_andnot_ps(sign, x);
+        let s = _mm256_mul_ps(ax, ax);
+        let mut p = _mm256_set1_ps(TANH_P[0]);
+        for &c in &TANH_P[1..] {
+            p = _mm256_add_ps(_mm256_mul_ps(p, s), _mm256_set1_ps(c));
+        }
+        let small = _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, s), ax), ax);
+        let e = exp8(_mm256_add_ps(ax, ax));
+        let mid = _mm256_sub_ps(
+            one,
+            _mm256_div_ps(_mm256_set1_ps(2.0), _mm256_add_ps(e, one)),
+        );
+        let t = _mm256_blendv_ps(
+            small,
+            mid,
+            _mm256_cmp_ps::<_CMP_GE_OQ>(ax, _mm256_set1_ps(TANH_POLY)),
+        );
+        let t = _mm256_blendv_ps(
+            t,
+            one,
+            _mm256_cmp_ps::<_CMP_GT_OQ>(ax, _mm256_set1_ps(TANH_ONE)),
+        );
+        _mm256_or_ps(_mm256_andnot_ps(sign, t), _mm256_and_ps(sign, x))
+    }
+
+    /// `op[j] = exp_f32(xp[j] − s)` (`xp` and `op` may be equal for
+    /// in-place use).
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`]; `xp` must be readable and
+    /// `op` writable for `n` elements, equal or disjoint.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn exp_sub_ptr(xp: *const f32, n: usize, s: f32, op: *mut f32) {
+        let vs = _mm256_set1_ps(s);
+        let mut j = 0;
+        while j + 8 <= n {
+            let v = exp8(_mm256_sub_ps(_mm256_loadu_ps(xp.add(j)), vs));
+            _mm256_storeu_ps(op.add(j), v);
+            j += 8;
+        }
+        while j < n {
+            *op.add(j) = super::exp_f32(*xp.add(j) - s);
+            j += 1;
+        }
+    }
+
+    /// `out[j] = tanh_f32(x[j])`.
+    ///
+    /// # Safety
+    /// Caller must have checked [`available`]; slices must be equal-length.
+    #[target_feature(enable = "avx")]
+    pub unsafe fn tanh_into(x: &[f32], out: &mut [f32]) {
+        let n = x.len();
+        debug_assert_eq!(out.len(), n);
+        let mut j = 0;
+        while j + 8 <= n {
+            let v = tanh8(_mm256_loadu_ps(x.as_ptr().add(j)));
+            _mm256_storeu_ps(out.as_mut_ptr().add(j), v);
+            j += 8;
+        }
+        while j < n {
+            *out.get_unchecked_mut(j) = super::tanh_f32(*x.get_unchecked(j));
+            j += 1;
+        }
+    }
+
     /// Tanh-approximation GELU over raw pointers (`xp` and `op` may be
     /// equal for in-place use; `tp`, unless null, receives the `tanh`
-    /// factors), replicating the scalar op sequence exactly:
-    /// the polynomial and the final combine run as separate vector mul/add
-    /// steps (one rounding each, no FMA), and `tanh` itself is evaluated per
-    /// lane with the scalar libm call — so every element takes the identical
-    /// sequence of roundings as the scalar loop.
+    /// factors), replicating the scalar op sequence exactly: the polynomial
+    /// and the final combine run as separate vector mul/add steps (one
+    /// rounding each, no FMA), and `tanh` is [`tanh8`], the lane-wise twin
+    /// of the scalar [`super::tanh_f32`] — so every element takes the
+    /// identical sequence of roundings as the scalar loop.
     ///
     /// # Safety
     /// Caller must have checked [`available`]; `xp` must be readable and
@@ -858,12 +996,7 @@ mod avx {
             let t3 = _mm256_mul_ps(t2, xv);
             let t4 = _mm256_add_ps(xv, t3);
             let u = _mm256_mul_ps(vc, t4);
-            let mut lanes = [0.0f32; 8];
-            _mm256_storeu_ps(lanes.as_mut_ptr(), u);
-            for l in lanes.iter_mut() {
-                *l = l.tanh();
-            }
-            let th = _mm256_loadu_ps(lanes.as_ptr());
+            let th = tanh8(u);
             if !tp.is_null() {
                 _mm256_storeu_ps(tp.add(j), th);
             }
@@ -874,7 +1007,7 @@ mod avx {
         }
         while j < n {
             let xv = *xp.add(j);
-            let th = (c * (xv + a * xv * xv * xv)).tanh();
+            let th = super::tanh_f32(c * (xv + a * xv * xv * xv));
             if !tp.is_null() {
                 *tp.add(j) = th;
             }
@@ -2246,6 +2379,161 @@ pub fn matmul_band_i8_into(
     bias_act_apply(out, band_len, n, bias, act);
 }
 
+// ---------------------------------------------------------------------------
+// Transcendentals
+// ---------------------------------------------------------------------------
+
+// `exp` and `tanh` are defined here as fixed sequences of IEEE `+ − × ÷`
+// steps (no FMA, no libm), so their bits depend neither on the tier nor on
+// the host's C library. The AVX twins (`avx::exp8`, `avx::tanh8`) run the
+// same steps on 8 lanes and select between branches per lane with blends,
+// which makes scalar and SIMD results bit-identical by construction.
+
+/// Above this `exp` returns `+∞` without evaluating; up to it the scaled
+/// result overflows to `+∞` on its own once it passes `f32::MAX`
+/// (`ln f32::MAX ≈ 88.7228`). It keeps `round(x·log₂e) ≤ 128`.
+const EXP_HI: f32 = 88.8;
+/// Below this `exp` returns `+0`: the result is under half the smallest
+/// subnormal (`ln 2⁻¹⁵⁰ ≈ −103.972`). It keeps `round(x·log₂e) ≥ −150`.
+const EXP_LO: f32 = -104.0;
+const LOG2E: f32 = std::f32::consts::LOG2_E;
+/// Cody–Waite split of `ln 2`: `LN2_HI` is 355/512 (9 significant bits),
+/// so `n·LN2_HI` is exact for every `|n| ≤ 150`.
+const LN2_HI: f32 = 0.693_359_4;
+const LN2_LO: f32 = -2.121_944_4e-4;
+/// `(v + ROUND) − ROUND` rounds `v` to the nearest integer (ties to even)
+/// for `|v| < 2²²`.
+const ROUND: f32 = 12_582_912.0;
+/// Coefficients of `(eʳ − 1 − r)/r²` on `|r| ≤ ln2/2`, highest first: a
+/// near-minimax fit (relative error of `eʳ` about 5e-9, 0.1 ulp).
+const EXP_P: [f32; 5] = [
+    1.389_358_7e-3,
+    8.371_755e-3,
+    4.166_712_6e-2,
+    0.166_664_93,
+    0.499_999_97,
+];
+/// Below this `|x|` `tanh` uses the odd polynomial, from it up to
+/// [`TANH_ONE`] the `exp` identity; beyond that it returns `±1`.
+const TANH_POLY: f32 = 0.625;
+const TANH_ONE: f32 = 9.0;
+/// Coefficients of `(tanh(x) − x)/x³` in `s = x²` on `|x| < 0.625`,
+/// highest first.
+const TANH_P: [f32; 5] = [
+    -5.704_988_7e-3,
+    2.063_909e-2,
+    -5.373_971_6e-2,
+    0.133_314_42,
+    -0.333_332_8,
+];
+
+/// `2ⁿ` for an integral `n ∈ [−126, 127]`, built from the exponent bits.
+/// `(n + 127)·2²³` is an exact integer below 2³¹, so the conversion is
+/// exact.
+#[inline]
+fn pow2i(n: f32) -> f32 {
+    f32::from_bits(((n + 127.0) * 8_388_608.0) as u32)
+}
+
+/// `eˣ` for `x ∈ [EXP_LO, EXP_HI]`: Cody–Waite reduction `x = n·ln2 + r`
+/// with `r = hi − lo`, the degree-6 polynomial `eʳ ≈ 1 + r + r²·P(r)`, then
+/// `eʳ·2ⁿ¹·2ⁿ²` with `n = n1 + n2` split so both factors stay normal.
+///
+/// `hi = x − n·LN2_HI` is exact, and `1 + hi` is summed with its rounding
+/// error `c` carried into the small tail, so the only large rounding is the
+/// final add (the rounded `r` feeds only the `r²` term). The first scale
+/// product is exact, so a subnormal result is rounded once.
+#[inline]
+fn exp_core(x: f32) -> f32 {
+    let n = (x * LOG2E + ROUND) - ROUND;
+    let hi = x - n * LN2_HI;
+    let lo = n * LN2_LO;
+    let r = hi - lo;
+    let mut p = EXP_P[0];
+    for &c in &EXP_P[1..] {
+        p = p * r + c;
+    }
+    let a = 1.0 + hi;
+    let c = hi - (a - 1.0);
+    let e = a + ((c - lo) + p * (r * r));
+    let n1 = (n * 0.5 + ROUND) - ROUND;
+    e * pow2i(n1) * pow2i(n - n1)
+}
+
+/// `eˣ` in `f32` — the one exponential of `rotom-nn` (softmax, sigmoid,
+/// log-softmax backward, `tanh`). Within 1 ulp of the exact value on
+/// `[−87.33, 88.37]`, the normal-result range; NaN stays NaN, `−∞` and
+/// anything below −104 give `+0`, and overflow gives `+∞`. [`exp_fwd`] is
+/// its vectorized, bit-identical slice form.
+#[inline]
+pub fn exp_f32(x: f32) -> f32 {
+    if x.is_nan() {
+        return x;
+    }
+    if x > EXP_HI {
+        return f32::INFINITY;
+    }
+    if x < EXP_LO {
+        return 0.0;
+    }
+    exp_core(x)
+}
+
+/// `tanh x` in `f32` — the one hyperbolic tangent of `rotom-nn` (GELU and
+/// the tape's `tanh` op). Within 2 ulp of the exact value; odd in the sign
+/// bit, so `tanh(−0) = −0`, and NaN stays NaN. [`tanh_fwd`] is its
+/// vectorized, bit-identical slice form.
+#[inline]
+pub fn tanh_f32(x: f32) -> f32 {
+    let ax = x.abs();
+    let t = if ax >= TANH_POLY {
+        if ax > TANH_ONE {
+            1.0
+        } else {
+            1.0 - 2.0 / (exp_f32(ax + ax) + 1.0)
+        }
+    } else {
+        // NaN lands here and propagates through the polynomial.
+        let s = ax * ax;
+        let mut p = TANH_P[0];
+        for &c in &TANH_P[1..] {
+            p = p * s + c;
+        }
+        (p * s) * ax + ax
+    };
+    t.copysign(x)
+}
+
+/// Elementwise `out = exp_f32(x)` (SIMD tier on AVX hosts, same bits).
+pub fn exp_fwd(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        // SAFETY: `available()` checked; lengths asserted equal, and the
+        // slices are disjoint borrows. `v − 0.0` is `v` for every non-NaN
+        // `v`.
+        unsafe { avx::exp_sub_ptr(x.as_ptr(), x.len(), 0.0, out.as_mut_ptr()) };
+        return;
+    }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = exp_f32(v);
+    }
+}
+
+/// Elementwise `out = tanh_f32(x)` (SIMD tier on AVX hosts, same bits).
+pub fn tanh_fwd(x: &[f32], out: &mut [f32]) {
+    assert_eq!(x.len(), out.len());
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        // SAFETY: `available()` checked; lengths asserted equal.
+        unsafe { avx::tanh_into(x, out) };
+        return;
+    }
+    for (o, &v) in out.iter_mut().zip(x) {
+        *o = tanh_f32(v);
+    }
+}
+
 /// Elementwise `out = x + y` (one add rounding per element on both tiers)
 /// — the tape's `add` op and the inference plane's residual connections.
 pub fn add_fwd(x: &[f32], y: &[f32], out: &mut [f32]) {
@@ -2292,34 +2580,36 @@ pub fn scale_fwd(x: &mut [f32], c: f32) {
 }
 
 /// One softmax row — the one softmax forward, shared by the tape's softmax,
-/// log-softmax and cross-entropy ops and the inference plane: max-shift
-/// over `v + m` (mask value `m`, or `+ 0.0` when unmasked),
-/// scalar `exp` and sum in index order, then a uniform `1/sum` scale.
-/// Returns `(max, sum)` — the pieces a cross-entropy epilogue needs for
-/// `lse = sum.ln() + max`.
+/// log-softmax and cross-entropy ops, the inference plane and
+/// [`crate::softmax_slice`]: max-shift over `v + m` (mask value `m`, or
+/// `+ 0.0` when unmasked), [`exp_f32`], a sum in index order, then a uniform
+/// `1/sum` scale. Returns `(max, sum)` — the pieces a cross-entropy epilogue
+/// needs for `lse = sum.ln() + max`.
 ///
-/// The SIMD tier vectorizes only the order-independent or elementwise
-/// stages (the additive mask shift, the max reduction, the final scale);
-/// the order-sensitive `exp`-and-accumulate stage stays scalar, so both
-/// tiers produce identical bits.
+/// The SIMD tier vectorizes the elementwise and order-independent stages
+/// (the additive mask shift, the max reduction, the `exp` pass through its
+/// bit-identical AVX twin, the final scale); only the order-sensitive sum
+/// stays scalar, so both tiers produce identical bits.
 pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f32, f32) {
     let n = row.len();
-    debug_assert_eq!(out.len(), n);
+    assert_eq!(out.len(), n);
     #[cfg(target_arch = "x86_64")]
     if avx::available() {
-        // Shifted logits go in `out` (overwritten by the exp pass below).
+        // SAFETY (all blocks below): `available()` checked; `row`, `mm` and
+        // `out` are `n` long. Shifted logits go in `out`, then the exp pass
+        // rewrites them in place (equal pointers are allowed).
         match mask {
             Some(mm) => {
-                debug_assert_eq!(mm.len(), n);
+                assert_eq!(mm.len(), n);
                 unsafe { avx::add_into(row, mm, out) };
             }
             None => unsafe { avx::add_scalar_into(row, 0.0, out) },
         }
         let max = unsafe { avx::max_val(out) };
+        let p = out.as_mut_ptr();
+        unsafe { avx::exp_sub_ptr(p, n, max, p) };
         let mut sum = 0.0f32;
-        for o in out.iter_mut() {
-            let e = (*o - max).exp();
-            *o = e;
+        for &e in out.iter() {
             sum += e;
         }
         let inv = 1.0 / sum;
@@ -2334,7 +2624,7 @@ pub fn softmax_row_fwd(row: &[f32], mask: Option<&[f32]>, out: &mut [f32]) -> (f
     let mut sum = 0.0f32;
     for (j, &v) in row.iter().enumerate() {
         let m = mask.map_or(0.0, |mm| mm[j]);
-        let e = (v + m - max).exp();
+        let e = exp_f32(v + m - max);
         out[j] = e;
         sum += e;
     }
@@ -2425,7 +2715,7 @@ pub fn layernorm_fwd(
 /// the tape's `gelu` op and the fused inference epilogue. `tanh_out`, when
 /// given, receives each element's `tanh` factor (the tape caches it for its
 /// backward rule). The SIMD tier keeps every polynomial step a separate
-/// rounding and evaluates `tanh` with the scalar libm call per lane, so both
+/// rounding and evaluates `tanh` with the AVX twin of [`tanh_f32`], so both
 /// tiers produce identical bits.
 pub fn gelu_fwd(x: &[f32], out: &mut [f32], tanh_out: Option<&mut [f32]>) {
     debug_assert_eq!(x.len(), out.len());
@@ -2461,7 +2751,7 @@ unsafe fn gelu_raw(xp: *const f32, n: usize, op: *mut f32, tp: *mut f32) {
     profile::bump(&profile::GELU_SCALAR);
     for j in 0..n {
         let v = *xp.add(j);
-        let th = (GELU_C * (v + GELU_A * v * v * v)).tanh();
+        let th = tanh_f32(GELU_C * (v + GELU_A * v * v * v));
         if !tp.is_null() {
             *tp.add(j) = th;
         }
@@ -2789,6 +3079,10 @@ mod tests {
     /// Scalar references below pin the forward formulas the golden
     /// snapshots were recorded with — the kernels must match them
     /// bit-for-bit on every tier.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn softmax_ref(x: &[f32], mask: Option<&[f32]>, rows: usize, cols: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; rows * cols];
         for i in 0..rows {
@@ -2803,7 +3097,7 @@ mod tests {
             let mut sum = 0.0f32;
             for (j, &v) in row.iter().enumerate() {
                 let m = mrow.map_or(0.0, |mm| mm[j]);
-                let e = (v + m - max).exp();
+                let e = exp_f32(v + m - max);
                 orow[j] = e;
                 sum += e;
             }
@@ -2832,14 +3126,14 @@ mod tests {
             let mut out = vec![0.0f32; rows * cols];
             softmax_fwd(&x, None, rows, cols, &mut out);
             assert_eq!(
-                out,
-                softmax_ref(&x, None, rows, cols),
+                bits(&out),
+                bits(&softmax_ref(&x, None, rows, cols)),
                 "unmasked {rows}x{cols}"
             );
             softmax_fwd(&x, Some(&mask), rows, cols, &mut out);
             assert_eq!(
-                out,
-                softmax_ref(&x, Some(&mask), rows, cols),
+                bits(&out),
+                bits(&softmax_ref(&x, Some(&mask), rows, cols)),
                 "masked {rows}x{cols}"
             );
         }
@@ -2892,10 +3186,14 @@ mod tests {
             gelu_fwd_inplace(&mut inplace);
             assert_eq!(inplace, out, "in-place gelu len={len}");
             for (j, (&v, &o)) in x.iter().zip(&out).enumerate() {
-                let th = (0.797_884_6f32 * (v + 0.044_715 * v * v * v)).tanh();
+                let th = tanh_f32(0.797_884_6f32 * (v + 0.044_715 * v * v * v));
                 let expect = 0.5 * v * (1.0 + th);
-                assert_eq!(o, expect, "gelu len={len} j={j}");
-                assert_eq!(tanh[j], th, "gelu tanh cache len={len} j={j}");
+                assert_eq!(o.to_bits(), expect.to_bits(), "gelu len={len} j={j}");
+                assert_eq!(
+                    tanh[j].to_bits(),
+                    th.to_bits(),
+                    "gelu tanh cache len={len} j={j}"
+                );
             }
         }
     }

@@ -80,12 +80,12 @@ pub use schedule::{LrSchedule, LrStepper};
 pub use tensor::Tensor;
 
 /// Numerically stable softmax over a slice (out-of-graph helper for
-/// inference-time probability computations).
+/// inference-time probability computations): [`kernels::softmax_row_fwd`]
+/// into a fresh vector.
 pub fn softmax_slice(logits: &[f32]) -> Vec<f32> {
-    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = logits.iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / sum).collect()
+    let mut out = vec![0.0; logits.len()];
+    kernels::softmax_row_fwd(logits, None, &mut out);
+    out
 }
 
 /// Argmax index of a slice (first maximum wins). Panics on empty input.
