@@ -7,10 +7,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
 
-# rotom-nn is lint-clean under -D warnings; the rest of the workspace must
-# at least pass clippy's deny-by-default lints (i.e. compile under clippy).
-echo "== cargo clippy (rotom-nn -D warnings; workspace deny-by-default)"
-cargo clippy -q --offline -p rotom-nn --all-targets -- -D warnings
+# rotom-nn, rotom-serve and rotom-bench are lint-clean under -D warnings;
+# the rest of the workspace must at least pass clippy's deny-by-default
+# lints (i.e. compile under clippy).
+echo "== cargo clippy (rotom-nn, rotom-serve, rotom-bench -D warnings; workspace deny-by-default)"
+cargo clippy -q --offline --no-deps -p rotom-nn -p rotom-serve -p rotom-bench --all-targets -- -D warnings
 cargo clippy -q --offline --workspace --all-targets
 
 echo "== cargo build --release --offline"

@@ -19,7 +19,7 @@ fn main() {
         suite.scale
     );
 
-    let tasks = vec![
+    let tasks = [
         (
             em::generate(EmFlavor::WalmartAmazon, &suite.em).to_task(),
             240usize,

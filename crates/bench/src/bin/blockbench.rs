@@ -17,21 +17,20 @@
 //!   (`tokens_pruned >= 3`) while match-pair recall (left i vs right i)
 //!   stays >= 0.95, with the LSH tier enabled as the recovery net.
 //!
-//! Because `ROTOM_THREADS` is read once per process, the parent re-executes
-//! itself per thread count (1 and 8) and aggregates children's results. The
-//! first run records `baseline`; later runs preserve it and update
-//! `current`.
+//! The parent re-executes itself per thread count (1 and 8) and aggregates
+//! the children's rows through [`rotom_bench::harness`]. The first run
+//! records `baseline`; later runs preserve it and update `current`.
 //!
 //! Usage:
 //!   cargo run --release --offline --bin blockbench                # regenerate
 //!   cargo run --release --offline --bin blockbench -- --check     # + gates
 //!   cargo run --release --offline --bin blockbench -- --records N # resize
 
+use rotom_bench::harness::{self, fixed, num, row, Json};
 use rotom_datasets::blocking::{stream_candidates, BlockingConfig, IndexBuilder, LshParams};
 use rotom_datasets::em::{block_candidates, CorpusConfig, CorpusSide, EmCorpus};
 use rotom_nn::RotomPool;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -71,30 +70,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
 const CHILD_ENV: &str = "BLOCKBENCH_CHILD";
 const RECORDS_ENV: &str = "BLOCKBENCH_RECORDS";
 const OUT_FILE: &str = "BENCH_blocking.json";
 const CHUNK: usize = 8192;
 const SLICE: usize = 2000;
 const STRESS_RECORDS: usize = 200_000;
-
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    records: usize,
-    index_records_per_sec: f64,
-    pairs_per_sec: f64,
-    candidates: u64,
-    recall: f64,
-    peak_mb: f64,
-    stress_pruned_tokens: f64,
-    stress_recall: f64,
-}
+/// The recorded numbers the gates and the `speedup` section read.
+const GATED: [&str; 3] = ["records", "pairs_per_sec", "index_records_per_sec"];
 
 /// One measured child: scale row then stress row at the current
-/// `ROTOM_THREADS`, printed as a parseable result line.
-fn run_child(records: usize) {
+/// `ROTOM_THREADS`, returned as one row.
+fn run_child(records: usize) -> Json {
     let pool = RotomPool::global();
     let corpus = EmCorpus::new(CorpusConfig {
         num_entities: records,
@@ -193,94 +180,59 @@ fn run_child(records: usize) {
         "stress candidates not pruned: {streamed}"
     );
 
+    let threads = pool.threads();
+    let index_records_per_sec = records as f64 / build_secs;
+    let pairs_per_sec = stats.candidates as f64 / stream_secs;
+    let peak_mb = PEAK.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0);
     println!(
-        "BLOCKBENCH threads={} records={} index_records_per_sec={:.2} pairs_per_sec={:.2} \
-         candidates={} recall={:.6} peak_mb={:.1} stress_pruned_tokens={} stress_recall={:.6}",
-        pool.threads(),
-        records,
-        records as f64 / build_secs,
-        stats.candidates as f64 / stream_secs,
-        stats.candidates,
-        recall,
-        PEAK.load(Ordering::Relaxed) as f64 / (1024.0 * 1024.0),
-        pruned,
-        stress_recall,
+        "blocking, {threads} thread(s): {index_records_per_sec:.0} rec/s indexed, \
+         {pairs_per_sec:.0} pairs/s, recall {recall:.4}, peak {peak_mb:.0} MB, \
+         stress pruned {pruned} recall {stress_recall:.4}",
     );
+    row([
+        ("threads", fixed(threads as f64, 0)),
+        ("records", fixed(records as f64, 0)),
+        ("index_records_per_sec", fixed(index_records_per_sec, 2)),
+        ("pairs_per_sec", fixed(pairs_per_sec, 2)),
+        ("candidates", fixed(stats.candidates as f64, 0)),
+        ("recall", fixed(recall, 6)),
+        ("peak_mb", fixed(peak_mb, 1)),
+        ("stress_pruned_tokens", fixed(pruned as f64, 0)),
+        ("stress_recall", fixed(stress_recall, 6)),
+    ])
 }
 
-/// Extract `key=value` from a child's result line.
-fn field(line: &str, key: &str) -> f64 {
-    let pat = format!("{key}=");
-    let start = line.find(&pat).unwrap_or_else(|| panic!("missing {key}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    rest[..end].parse().expect("numeric field")
-}
-
-/// Pull samples out of one JSON section of a previous `BENCH_blocking.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        let get = |k: &str| num(k).unwrap_or(0.0);
-        if let Some(t) = num("threads") {
-            out.push(Sample {
-                threads: t as usize,
-                records: get("records") as usize,
-                index_records_per_sec: get("index_records_per_sec"),
-                pairs_per_sec: get("pairs_per_sec"),
-                candidates: get("candidates") as u64,
-                recall: get("recall"),
-                peak_mb: get("peak_mb"),
-                stress_pruned_tokens: get("stress_pruned_tokens"),
-                stress_recall: get("stress_recall"),
-            });
-        }
+/// The `--check` gates: the scale row indexes at least 1M records, slice
+/// and stress recall stay at or above 0.95, the df ceiling prunes all 3
+/// stopwords, and pairs/sec stays within 20% of the previous `current` row
+/// at the same corpus size (a `--records` resize has nothing to compare).
+fn gate(prev: &[Json], _baseline: &[Json], current: &[Json]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, floor, what) in [
+        ("records", 1e6, "scale row records indexed"),
+        ("recall", 0.95, "slice recall"),
+        ("stress_pruned_tokens", 3.0, "df-ceiling stopwords pruned"),
+        ("stress_recall", 0.95, "stress match recall"),
+    ] {
+        failures.extend(harness::at_least(current, key, floor, what));
     }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"records\": {}, \"index_records_per_sec\": {:.2}, \
-             \"pairs_per_sec\": {:.2}, \"candidates\": {}, \"recall\": {:.6}, \
-             \"peak_mb\": {:.1}, \"stress_pruned_tokens\": {}, \"stress_recall\": {:.6}}}",
-            s.threads,
-            s.records,
-            s.index_records_per_sec,
-            s.pairs_per_sec,
-            s.candidates,
-            s.recall,
-            s.peak_mb,
-            s.stress_pruned_tokens as u64,
-            s.stress_recall
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+    let same_size: Vec<Json> = prev
+        .iter()
+        .filter(|p| {
+            current
+                .iter()
+                .any(|c| num(c, "records") == num(p, "records"))
+        })
+        .cloned()
+        .collect();
+    failures.extend(harness::below(
+        &same_size,
+        current,
+        "pairs_per_sec",
+        0.8,
+        "pairs/sec regression",
+    ));
+    failures
 }
 
 fn main() {
@@ -288,10 +240,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1_000_000);
-    if std::env::var(CHILD_ENV).is_ok() {
-        run_child(records);
-        return;
-    }
+    harness::child(CHILD_ENV, || run_child(records));
     let args: Vec<String> = std::env::args().collect();
     let check = args.iter().any(|a| a == "--check");
     let records = args
@@ -300,128 +249,76 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(records);
-    let exe = std::env::current_exe().expect("current_exe");
-
-    let mut current = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let out = std::process::Command::new(&exe)
-            .env(CHILD_ENV, "1")
-            .env(RECORDS_ENV, records.to_string())
-            .env("ROTOM_THREADS", threads.to_string())
-            .output()
-            .expect("spawn blockbench child");
-        assert!(
-            out.status.success(),
-            "child (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("BLOCKBENCH "))
-            .expect("child result line");
-        let sample = Sample {
-            threads,
-            records: field(line, "records") as usize,
-            index_records_per_sec: field(line, "index_records_per_sec"),
-            pairs_per_sec: field(line, "pairs_per_sec"),
-            candidates: field(line, "candidates") as u64,
-            recall: field(line, "recall"),
-            peak_mb: field(line, "peak_mb"),
-            stress_pruned_tokens: field(line, "stress_pruned_tokens"),
-            stress_recall: field(line, "stress_recall"),
-        };
-        println!(
-            "blocking, {} thread(s): {:.0} rec/s indexed, {:.0} pairs/s, recall {:.4}, \
-             peak {:.0} MB, stress pruned {} recall {:.4}",
-            sample.threads,
-            sample.index_records_per_sec,
-            sample.pairs_per_sec,
-            sample.recall,
-            sample.peak_mb,
-            sample.stress_pruned_tokens as u64,
-            sample.stress_recall
-        );
-        current.push(sample);
-    }
-
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Acceptance + regression gates (ci.sh runs with --check).
+    let prev = harness::read(OUT_FILE, &GATED);
+    let current = harness::sweep(CHILD_ENV, &[(RECORDS_ENV, records.to_string())]);
+    let baseline = prev.baseline_or(&current);
     if check {
-        for s in &current {
-            assert!(
-                s.records >= 1_000_000,
-                "blockbench: scale row must index >= 1M records (got {})",
-                s.records
-            );
-            assert!(
-                s.recall >= 0.95,
-                "blockbench: recall {} < 0.95 at {} thread(s)",
-                s.recall,
-                s.threads
-            );
-            assert!(
-                s.stress_pruned_tokens >= 3.0,
-                "blockbench: df ceiling pruned {} tokens (expected >= 3 stopwords)",
-                s.stress_pruned_tokens
-            );
-            assert!(
-                s.stress_recall >= 0.95,
-                "blockbench: stress match recall {} < 0.95",
-                s.stress_recall
-            );
-        }
-        let prev = parse_section(&old, "current");
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if p.records == now.records && now.pairs_per_sec < 0.8 * p.pairs_per_sec {
-                eprintln!(
-                    "blockbench: pairs/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.pairs_per_sec, now.pairs_per_sec
-                );
-                std::process::exit(1);
-            }
-        }
+        harness::enforce("blockbench", gate(&prev.current, &baseline, &current));
+    }
+    let ratio = |s: &Json, b: &Json, key| fixed(num(s, key) / num(b, key).max(1e-9), 3);
+    let speedup = harness::vs_baseline(&baseline, &current, |s, b| {
+        vec![
+            ("pairs_per_sec_ratio", ratio(s, b, "pairs_per_sec")),
+            ("index_ratio", ratio(s, b, "index_records_per_sec")),
+        ]
+    });
+    let workload = format!(
+        "sharded blocking: {records}-record EmCorpus, min_shared 2, df_ceiling 4096, lsh 8x2, \
+         chunk {CHUNK}; stress {STRESS_RECORDS} records + 3 stopwords, df_ceiling 1024"
+    );
+    harness::write(
+        OUT_FILE,
+        &[
+            ("workload", Json::Str(workload)),
+            ("baseline", Json::Arr(baseline)),
+            ("current", Json::Arr(current)),
+            ("speedup", Json::Arr(speedup)),
+        ],
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn recorded() -> harness::Recorded {
+        harness::parse(include_str!("../../../../BENCH_blocking.json"), &GATED).unwrap()
     }
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(
-        json,
-        "  \"workload\": \"sharded blocking: {records}-record EmCorpus, min_shared 2, \
-         df_ceiling 4096, lsh 8x2, chunk {CHUNK}; stress {STRESS_RECORDS} records + 3 stopwords, \
-         df_ceiling 1024\",",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"speedup\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"pairs_per_sec_ratio\": {:.3}, \"index_ratio\": {:.3}}}",
-            s.threads,
-            s.pairs_per_sec / b.pairs_per_sec.max(1e-9),
-            s.index_records_per_sec / b.index_records_per_sec.max(1e-9)
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
+    fn gate_on(current: &[Json]) -> Vec<String> {
+        let r = recorded();
+        gate(&r.current, &r.baseline, current)
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_blocking.json");
-    println!("wrote {OUT_FILE}");
+
+    #[test]
+    fn unchanged_numbers_pass() {
+        assert_eq!(gate_on(&recorded().current), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_quarter_slower_fails_at_every_thread_count() {
+        let current = recorded().current;
+        let mut slower = current.clone();
+        for key in ["pairs_per_sec", "index_records_per_sec"] {
+            slower = harness::map_key(&slower, key, |v| v * 0.75);
+        }
+        let failures = gate_on(&slower);
+        assert_eq!(failures.len(), current.len(), "{failures:?}");
+        assert!(failures.iter().all(|f| f.contains("pairs/sec regression")));
+    }
+
+    #[test]
+    fn each_absolute_floor_trips_on_its_own() {
+        let current = recorded().current;
+        for (key, value, what) in [
+            ("records", 999_999.0, "records indexed"),
+            ("recall", 0.94, "slice recall"),
+            ("stress_pruned_tokens", 2.0, "stopwords pruned"),
+            ("stress_recall", 0.94, "stress match recall"),
+        ] {
+            let failures = gate_on(&harness::map_key(&current, key, |_| value));
+            assert_eq!(failures.len(), current.len(), "{key}: {failures:?}");
+            assert!(failures.iter().all(|f| f.contains(what)), "{failures:?}");
+        }
+    }
 }

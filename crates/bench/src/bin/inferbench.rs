@@ -10,10 +10,10 @@
 //! with the CLS band tail), not the parallelism. Decode throughput drives
 //! [`InvDa::generate`] through the forward-only decoder.
 //!
-//! Because `ROTOM_THREADS` is read once per process, the parent re-executes
-//! itself once per thread count (1 and 8) and aggregates the children's
-//! results. The first run records its numbers as the `baseline` section;
-//! later runs preserve the existing baseline and update `current`.
+//! The parent re-executes itself once per thread count (1 and 8) and
+//! aggregates the children's rows through [`rotom_bench::harness`]. The
+//! first run records its numbers as the `baseline` section; later runs
+//! preserve the existing baseline and update `current`.
 //!
 //! Usage:
 //!   cargo run --release --offline --bin inferbench            # regenerate
@@ -23,17 +23,18 @@
 use rotom::config::RotomConfig;
 use rotom::TinyLm;
 use rotom_augment::InvDa;
+use rotom_bench::harness::{self, fixed, num, row, Json};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::SeedableRng;
-use std::fmt::Write as _;
 use std::time::Instant;
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
 const CHILD_ENV: &str = "INFERBENCH_CHILD";
 const OUT_FILE: &str = "BENCH_infer.json";
 const BATCH: usize = 64;
+/// The recorded numbers the gates and the `trajectory` section read.
+const GATED: [&str; 2] = ["infer_examples_per_sec", "decode_tokens_per_sec"];
 
 /// Best (minimum) wall time for `f` over `runs` timed passes, in seconds
 /// (one untimed warmup). Min-time is the robust estimator on a shared
@@ -52,21 +53,9 @@ fn time_best(runs: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    tape_eps: f64,
-    infer_eps: f64,
-    speedup: f64,
-    quant_eps: f64,
-    decode_tok_s: f64,
-    cache_eps: f64,
-    cache_hit_rate: f64,
-}
-
 /// One measured child process: run the scoring and decode workloads at the
-/// current `ROTOM_THREADS` setting and print a parseable result line.
-fn run_child() {
+/// current `ROTOM_THREADS` setting and return its row.
+fn run_child() -> Json {
     let data_cfg = TextClsConfig {
         train_pool: BATCH,
         test: 8,
@@ -176,245 +165,156 @@ fn run_child() {
     cache.emit_gauges();
     model.set_score_cache(0);
 
+    let threads = pool.threads();
     println!(
-        "INFERBENCH threads={} tape_eps={:.2} infer_eps={:.2} speedup={:.3} quant_eps={:.2} decode_tok_s={:.2} cache_eps={:.2} cache_hit_rate={:.4}",
-        pool.threads(),
-        tape_eps,
-        infer_eps,
+        "batch-{BATCH} scoring, {threads} thread(s): tape {tape_eps:.0} ex/s | tape-free {infer_eps:.0} ex/s ({:.2}x) | i8 {quant_eps:.0} ex/s ({:.2}x f32) | cache hits {cache_eps:.0} ex/s (rate {cache_hit_rate:.2}) | decode {decode_tok_s:.0} tok/s",
         infer_eps / tape_eps,
-        quant_eps,
-        decode_tok_s,
-        cache_eps,
-        cache_hit_rate,
+        quant_eps / infer_eps,
     );
+    row([
+        ("threads", fixed(threads as f64, 0)),
+        ("tape_examples_per_sec", fixed(tape_eps, 2)),
+        ("infer_examples_per_sec", fixed(infer_eps, 2)),
+        ("speedup_vs_tape", fixed(infer_eps / tape_eps, 3)),
+        ("quant_examples_per_sec", fixed(quant_eps, 2)),
+        ("quant_speedup_vs_f32", fixed(quant_eps / infer_eps, 3)),
+        ("decode_tokens_per_sec", fixed(decode_tok_s, 2)),
+        ("cache_hit_examples_per_sec", fixed(cache_eps, 2)),
+        ("cache_hit_rate", fixed(cache_hit_rate, 4)),
+    ])
 }
 
-/// Extract `key=value` from a child's result line.
-fn field(line: &str, key: &str) -> f64 {
-    let pat = format!("{key}=");
-    let start = line.find(&pat).unwrap_or_else(|| panic!("missing {key}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    rest[..end].parse().expect("numeric field")
-}
-
-/// Pull samples out of one JSON section (`"baseline"` or `"current"`) of a
-/// previous `BENCH_infer.json`. Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        if let (Some(t), Some(tape), Some(infer), Some(dec), Some(cache), Some(rate)) = (
-            num("threads"),
-            num("tape_examples_per_sec"),
-            num("infer_examples_per_sec"),
-            num("decode_tokens_per_sec"),
-            num("cache_hit_examples_per_sec"),
-            num("cache_hit_rate"),
-        ) {
-            out.push(Sample {
-                threads: t as usize,
-                tape_eps: tape,
-                infer_eps: infer,
-                speedup: infer / tape,
-                // Absent in pre-quant files; 0.0 marks "not measured" and
-                // is skipped by the quant gates below.
-                quant_eps: num("quant_examples_per_sec").unwrap_or(0.0),
-                decode_tok_s: dec,
-                cache_eps: cache,
-                cache_hit_rate: rate,
-            });
-        }
+/// The `--check` gates: tape-free scoring and decode throughput within 20%
+/// of the previous `current` row and within 10% of the baseline (slow
+/// slides compound silently otherwise), the tape-free plane at least 2x the
+/// tape path, and the i8 tier at least 1.5x f32, at every thread count.
+fn gate(prev: &[Json], baseline: &[Json], current: &[Json]) -> Vec<String> {
+    let mut failures = Vec::new();
+    for (key, what) in [
+        ("infer_examples_per_sec", "examples/sec"),
+        ("decode_tokens_per_sec", "decode tokens/sec"),
+    ] {
+        failures.extend(harness::below(
+            prev,
+            current,
+            key,
+            0.8,
+            &format!("{what} regression"),
+        ));
+        failures.extend(harness::below(
+            baseline,
+            current,
+            key,
+            0.9,
+            &format!("{what} trajectory slide vs baseline"),
+        ));
     }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"tape_examples_per_sec\": {:.2}, \"infer_examples_per_sec\": {:.2}, \"speedup_vs_tape\": {:.3}, \"quant_examples_per_sec\": {:.2}, \"quant_speedup_vs_f32\": {:.3}, \"decode_tokens_per_sec\": {:.2}, \"cache_hit_examples_per_sec\": {:.2}, \"cache_hit_rate\": {:.4}}}",
-            s.threads, s.tape_eps, s.infer_eps, s.speedup, s.quant_eps, s.quant_eps / s.infer_eps, s.decode_tok_s, s.cache_eps, s.cache_hit_rate
+    failures.extend(harness::at_least(
+        current,
+        "speedup_vs_tape",
+        2.0,
+        "tape-free speedup",
+    ));
+    for s in current {
+        let (quant, infer) = (
+            num(s, "quant_examples_per_sec"),
+            num(s, "infer_examples_per_sec"),
         );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
+        if quant < 1.5 * infer {
+            failures.push(format!(
+                "i8 quant speedup at {} thread(s) is {:.2}x over f32 (< 1.5x floor)",
+                num(s, "threads"),
+                quant / infer
+            ));
+        }
     }
-    json.push_str("  ],\n");
+    failures
 }
 
 fn main() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        run_child();
-        return;
-    }
+    harness::child(CHILD_ENV, run_child);
     let check = std::env::args().any(|a| a == "--check");
-    let exe = std::env::current_exe().expect("current_exe");
-
-    let mut current = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let out = std::process::Command::new(&exe)
-            .env(CHILD_ENV, "1")
-            .env("ROTOM_THREADS", threads.to_string())
-            .output()
-            .expect("spawn inferbench child");
-        assert!(
-            out.status.success(),
-            "child (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("INFERBENCH "))
-            .expect("child result line");
-        let sample = Sample {
-            threads,
-            tape_eps: field(line, "tape_eps"),
-            infer_eps: field(line, "infer_eps"),
-            speedup: field(line, "speedup"),
-            quant_eps: field(line, "quant_eps"),
-            decode_tok_s: field(line, "decode_tok_s"),
-            cache_eps: field(line, "cache_eps"),
-            cache_hit_rate: field(line, "cache_hit_rate"),
-        };
-        println!(
-            "batch-{} scoring, {} thread(s): tape {:.0} ex/s | tape-free {:.0} ex/s ({:.2}x) | i8 {:.0} ex/s ({:.2}x f32) | cache hits {:.0} ex/s (rate {:.2}) | decode {:.0} tok/s",
-            BATCH,
-            sample.threads,
-            sample.tape_eps,
-            sample.infer_eps,
-            sample.speedup,
-            sample.quant_eps,
-            sample.quant_eps / sample.infer_eps,
-            sample.cache_eps,
-            sample.cache_hit_rate,
-            sample.decode_tok_s,
-        );
-        current.push(sample);
-    }
-
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Regression gate (ci.sh): tape-free scoring must stay within 20% of the
-    // previously checked-in current numbers, and the tape-free plane must
-    // keep its >=2x advantage over the tape path at every thread count.
+    let prev = harness::read(OUT_FILE, &GATED);
+    let current = harness::sweep(CHILD_ENV, &[]);
+    let baseline = prev.baseline_or(&current);
     if check {
-        let prev = parse_section(&old, "current");
-        let mut failed = false;
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if now.infer_eps < 0.8 * p.infer_eps {
-                eprintln!(
-                    "inferbench: examples/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.infer_eps, now.infer_eps
-                );
-                failed = true;
-            }
-            if now.decode_tok_s < 0.8 * p.decode_tok_s {
-                eprintln!(
-                    "inferbench: decode tokens/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.decode_tok_s, now.decode_tok_s
-                );
-                failed = true;
-            }
-        }
-        for s in &current {
-            if s.speedup < 2.0 {
-                eprintln!(
-                    "inferbench: tape-free speedup at {} thread(s) is {:.2}x (< 2x floor)",
-                    s.threads, s.speedup
-                );
-                failed = true;
-            }
-            if s.quant_eps < 1.5 * s.infer_eps {
-                eprintln!(
-                    "inferbench: i8 quant speedup at {} thread(s) is {:.2}x over f32 (< 1.5x floor)",
-                    s.threads,
-                    s.quant_eps / s.infer_eps
-                );
-                failed = true;
-            }
-        }
-        // Trajectory gate: long-horizon drift against the recorded baseline
-        // must stay within 10%, even when each per-PR step passed the 20%
-        // current-vs-previous gate above (slow slides compound silently
-        // otherwise).
-        for s in &current {
-            let Some(b) = baseline.iter().find(|x| x.threads == s.threads) else {
-                continue;
-            };
-            for (what, now, base) in [
-                ("infer examples/sec", s.infer_eps, b.infer_eps),
-                ("decode tokens/sec", s.decode_tok_s, b.decode_tok_s),
-            ] {
-                if now < 0.9 * base {
-                    eprintln!(
-                        "inferbench: {what} trajectory slide at {} thread(s): ratio {:.3} vs baseline (< 0.9)",
-                        s.threads,
-                        now / base
-                    );
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        harness::enforce("inferbench", gate(&prev.current, &baseline, &current));
+    }
+    let ratio = |s: &Json, b: &Json, key| fixed(num(s, key) / num(b, key), 3);
+    let trajectory = harness::vs_baseline(&baseline, &current, |s, b| {
+        vec![
+            ("infer_ratio", ratio(s, b, "infer_examples_per_sec")),
+            ("decode_ratio", ratio(s, b, "decode_tokens_per_sec")),
+        ]
+    });
+    harness::write(
+        OUT_FILE,
+        &[
+            (
+                "workload",
+                Json::Str(
+                    "TinyLm batch-64 scoring (d_model=128, L=1) + InvDA decode (bench_small)"
+                        .into(),
+                ),
+            ),
+            ("baseline", Json::Arr(baseline)),
+            ("current", Json::Arr(current)),
+            ("trajectory", Json::Arr(trajectory)),
+        ],
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn recorded() -> harness::Recorded {
+        harness::parse(include_str!("../../../../BENCH_infer.json"), &GATED).unwrap()
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(
-        "  \"workload\": \"TinyLm batch-64 scoring (d_model=128, L=1) + InvDA decode (bench_small)\",\n",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"trajectory\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"infer_ratio\": {:.3}, \"decode_ratio\": {:.3}}}",
-            s.threads,
-            s.infer_eps / b.infer_eps,
-            s.decode_tok_s / b.decode_tok_s
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
+    fn gate_on(current: &[Json]) -> Vec<String> {
+        let r = recorded();
+        gate(&r.current, &r.baseline, current)
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_infer.json");
-    println!("wrote {OUT_FILE}");
+
+    #[test]
+    fn unchanged_numbers_pass() {
+        assert_eq!(gate_on(&recorded().current), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_quarter_slower_fails_the_regression_gates() {
+        let mut slower = recorded().current;
+        for key in [
+            "tape_examples_per_sec",
+            "infer_examples_per_sec",
+            "quant_examples_per_sec",
+            "decode_tokens_per_sec",
+            "cache_hit_examples_per_sec",
+        ] {
+            slower = harness::map_key(&slower, key, |v| v * 0.75);
+        }
+        let failures = gate_on(&slower);
+        assert!(failures
+            .iter()
+            .any(|f| f.contains("examples/sec regression")));
+        assert!(failures
+            .iter()
+            .any(|f| f.contains("decode tokens/sec regression")));
+        assert!(failures.iter().any(|f| f.contains("trajectory slide")));
+    }
+
+    #[test]
+    fn each_speedup_floor_trips_on_its_own() {
+        let current = recorded().current;
+        let tape_free = harness::map_key(&current, "speedup_vs_tape", |_| 1.99);
+        let failures = gate_on(&tape_free);
+        assert_eq!(failures.len(), current.len(), "{failures:?}");
+        assert!(failures.iter().all(|f| f.contains("tape-free speedup")));
+
+        let quant = harness::map_key(&current, "quant_examples_per_sec", |_| 1.0);
+        let failures = gate_on(&quant);
+        assert_eq!(failures.len(), current.len(), "{failures:?}");
+        assert!(failures.iter().all(|f| f.contains("i8 quant speedup")));
+    }
 }

@@ -8,12 +8,12 @@
 //! Run with `cargo run --release --offline --bin perfsmoke`.
 
 use rotom_augment::{InvDa, InvDaConfig};
+use rotom_bench::harness::{self, fixed, row, Json};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_nn::kernels;
 use rotom_nn::RotomPool;
 use rotom_rng::rngs::StdRng;
 use rotom_rng::{RngExt, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Median-of-runs wall time for `f`, in seconds.
@@ -193,43 +193,40 @@ fn main() {
         aug.serial_s / aug.parallel_s,
     );
 
-    // Hand-rolled JSON (the workspace carries no serde).
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"threads\": {},", pool.threads());
-    json.push_str("  \"matmul\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"size\": {}, \"naive_s\": {:.6e}, \"tiled_serial_s\": {:.6e}, \"tiled_parallel_s\": {:.6e}, \"speedup_serial\": {:.3}, \"speedup_parallel\": {:.3}}}",
-            r.size,
-            r.naive_s,
-            r.tiled_serial_s,
-            r.tiled_parallel_s,
-            r.naive_s / r.tiled_serial_s,
-            r.naive_s / r.tiled_parallel_s,
-        );
-        json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"forward_kernels\": [\n");
-    for (i, r) in fwd.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"op\": \"{}\", \"rows\": {}, \"cols\": {}, \"time_s\": {:.6e}}}",
-            r.op, r.rows, r.cols, r.time_s,
-        );
-        json.push_str(if i + 1 < fwd.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"invda_augment\": {{\"batch\": {}, \"serial_s\": {:.6e}, \"parallel_s\": {:.6e}, \"speedup\": {:.3}}}",
-        aug.batch,
-        aug.serial_s,
-        aug.parallel_s,
-        aug.serial_s / aug.parallel_s,
+    let sci = |v: f64| Json::Num(format!("{v:.6e}"));
+    let matmul = rows.iter().map(|r| {
+        row([
+            ("size", fixed(r.size as f64, 0)),
+            ("naive_s", sci(r.naive_s)),
+            ("tiled_serial_s", sci(r.tiled_serial_s)),
+            ("tiled_parallel_s", sci(r.tiled_parallel_s)),
+            ("speedup_serial", fixed(r.naive_s / r.tiled_serial_s, 3)),
+            ("speedup_parallel", fixed(r.naive_s / r.tiled_parallel_s, 3)),
+        ])
+    });
+    let forward = fwd.iter().map(|r| {
+        row([
+            ("op", Json::Str(r.op.into())),
+            ("rows", fixed(r.rows as f64, 0)),
+            ("cols", fixed(r.cols as f64, 0)),
+            ("time_s", sci(r.time_s)),
+        ])
+    });
+    harness::write(
+        "BENCH_compute.json",
+        &[
+            ("threads", fixed(pool.threads() as f64, 0)),
+            ("matmul", Json::Arr(matmul.collect())),
+            ("forward_kernels", Json::Arr(forward.collect())),
+            (
+                "invda_augment",
+                row([
+                    ("batch", fixed(aug.batch as f64, 0)),
+                    ("serial_s", sci(aug.serial_s)),
+                    ("parallel_s", sci(aug.parallel_s)),
+                    ("speedup", fixed(aug.serial_s / aug.parallel_s, 3)),
+                ]),
+            ),
+        ],
     );
-    json.push_str("}\n");
-    std::fs::write("BENCH_compute.json", &json).expect("write BENCH_compute.json");
-    println!("wrote BENCH_compute.json");
 }

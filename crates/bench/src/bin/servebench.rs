@@ -20,25 +20,17 @@
 //!
 //! `ROTOM_BENCH_SCALE=quick` shrinks the request count for CI smoke runs.
 
+use rotom_bench::harness::{self, fixed, num, row, Json, THREAD_COUNTS};
 use rotom_serve::{
     demo_model, demo_model_config, Client, Endpoint, Server, ServerConfig, TaskPlane,
 };
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
 const CLIENTS: usize = 4;
 const OUT_FILE: &str = "BENCH_serve.json";
-
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    req_per_sec: f64,
-    p50_us: f64,
-    p99_us: f64,
-    mean_batch_fill: f64,
-}
+/// The recorded numbers the gates and the `trajectory` section read.
+const GATED: [&str; 2] = ["requests_per_sec", "p99_latency_us"];
 
 /// A small rotating input set: realistic token lengths, no cache to
 /// help, every request does real forward work.
@@ -91,7 +83,7 @@ fn bench_config(threads: usize, window: Duration) -> ServerConfig {
 /// scoring pool over the default demo model and the standard 1ms window,
 /// hammer it from `CLIENTS` keep-alive connections, and return throughput
 /// + exact latency quantiles.
-fn run_config(threads: usize, requests_per_client: usize) -> Sample {
+fn run_config(threads: usize, requests_per_client: usize) -> Json {
     let server = Server::start(bench_config(threads, Duration::from_millis(1)))
         .expect("servebench: server boots");
     measure(server, threads, requests_per_client, short_bodies())
@@ -103,7 +95,7 @@ fn run_config(threads: usize, requests_per_client: usize) -> Sample {
 /// window-bound. The stock demo model (d_model 32) sits right at the i8
 /// tier's size threshold, where quantize overhead cancels the GEMM win —
 /// this row measures the tier on a model shaped like what serving is for.
-fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> Sample {
+fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> Json {
     let mut model_cfg = demo_model_config();
     model_cfg.d_model = 128;
     model_cfg.heads = 8;
@@ -125,13 +117,13 @@ fn run_quant_config(threads: usize, requests_per_client: usize, quant: bool) -> 
 }
 
 /// Hammer a booted server from `CLIENTS` keep-alive connections and return
-/// throughput + exact latency quantiles. Shuts the server down.
+/// throughput + exact latency quantiles as a row. Shuts the server down.
 fn measure(
     server: Server,
     threads: usize,
     requests_per_client: usize,
     bodies: Vec<String>,
-) -> Sample {
+) -> Json {
     let addr = server.local_addr();
     let bodies: Arc<Vec<String>> = Arc::new(bodies);
 
@@ -180,17 +172,18 @@ fn measure(
     let jobs = m.batched_jobs.load(std::sync::atomic::Ordering::Relaxed);
     server.shutdown();
 
-    Sample {
-        threads,
-        req_per_sec: total as f64 / elapsed,
-        p50_us: quantile(0.5),
-        p99_us: quantile(0.99),
-        mean_batch_fill: if batches == 0 {
-            0.0
-        } else {
-            jobs as f64 / batches as f64
-        },
-    }
+    let mean_batch_fill = if batches == 0 {
+        0.0
+    } else {
+        jobs as f64 / batches as f64
+    };
+    row([
+        ("threads", fixed(threads as f64, 0)),
+        ("requests_per_sec", fixed(total as f64 / elapsed, 2)),
+        ("p50_latency_us", fixed(quantile(0.5), 1)),
+        ("p99_latency_us", fixed(quantile(0.99), 1)),
+        ("mean_batch_fill", fixed(mean_batch_fill, 2)),
+    ])
 }
 
 /// How hard the overload row leans on the server: clients vs. a
@@ -200,16 +193,6 @@ const OVERLOAD_CLIENTS: usize = 8;
 /// accepted requests is a multiple of this.
 const OVERLOAD_DEADLINE: Duration = Duration::from_millis(50);
 
-#[derive(Debug, Clone, Copy)]
-struct OverloadSample {
-    threads: usize,
-    offered_rps: f64,
-    accepted_rps: f64,
-    accepted: u64,
-    shed: u64,
-    p99_accepted_us: f64,
-}
-
 /// Overload row: offered load far above capacity (8 hammering clients, a
 /// queue capped at 4 jobs, a 50ms deadline budget) — the point is not
 /// throughput but *degradation shape*. Admission control must shed the
@@ -217,7 +200,7 @@ struct OverloadSample {
 /// requests stays bounded by the deadline budget instead of collapsing
 /// into an unbounded queue wait. Every response must be a 200 or a shed —
 /// anything else fails the bench.
-fn run_overload_config(threads: usize, requests_per_client: usize) -> OverloadSample {
+fn run_overload_config(threads: usize, requests_per_client: usize) -> Json {
     let server = Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         window: Duration::from_millis(1),
@@ -280,85 +263,89 @@ fn run_overload_config(threads: usize, requests_per_client: usize) -> OverloadSa
         let idx = ((0.99 * latencies.len() as f64).ceil() as usize).clamp(1, latencies.len()) - 1;
         latencies[idx]
     };
-    OverloadSample {
-        threads,
-        offered_rps: (accepted + shed) as f64 / elapsed,
-        accepted_rps: accepted as f64 / elapsed,
-        accepted,
-        shed,
-        p99_accepted_us: p99,
-    }
+    row([
+        ("threads", fixed(threads as f64, 0)),
+        ("clients", fixed(OVERLOAD_CLIENTS as f64, 0)),
+        (
+            "deadline_ms",
+            fixed(OVERLOAD_DEADLINE.as_millis() as f64, 0),
+        ),
+        (
+            "offered_requests_per_sec",
+            fixed((accepted + shed) as f64 / elapsed, 2),
+        ),
+        (
+            "accepted_requests_per_sec",
+            fixed(accepted as f64 / elapsed, 2),
+        ),
+        ("accepted", fixed(accepted as f64, 0)),
+        ("shed", fixed(shed as f64, 0)),
+        ("p99_accepted_latency_us", fixed(p99, 1)),
+    ])
 }
 
-/// Pull samples out of one JSON section of a previous `BENCH_serve.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        if let (Some(t), Some(rps), Some(p50), Some(p99), Some(fill)) = (
-            num("threads"),
-            num("requests_per_sec"),
-            num("p50_latency_us"),
-            num("p99_latency_us"),
-            num("mean_batch_fill"),
-        ) {
-            out.push(Sample {
-                threads: t as usize,
-                req_per_sec: rps,
-                p50_us: p50,
-                p99_us: p99,
-                mean_batch_fill: fill,
-            });
+/// The `--check` gates. Sustained req/sec stays within 20% of the previous
+/// `current` row. The p99 gate is deliberately loose (3x): at a few hundred
+/// samples the tail is scheduler noise, so it only catches step-function
+/// regressions (a lost batch window, a stall), while throughput, averaged
+/// over every request, carries the tight bound. The overload gates are
+/// absolute (no baseline): under 2x+ capacity offered load, excess must
+/// actually shed, something must still be accepted, and the p99 of accepted
+/// requests must stay within 4x the deadline budget, the signature of
+/// admission control working. The 4x headroom absorbs scheduler noise;
+/// latency *collapse* (unbounded queueing) is orders of magnitude, not 4x.
+fn gate(prev: &[Json], _baseline: &[Json], current: &[Json], overload: &[Json]) -> Vec<String> {
+    let mut failures = harness::below(prev, current, "requests_per_sec", 0.8, "req/sec regression");
+    for (p, now) in harness::by_threads(prev, current) {
+        let (was, is) = (num(p, "p99_latency_us"), num(now, "p99_latency_us"));
+        if is > 3.0 * was {
+            failures.push(format!(
+                "p99 latency regression at {} thread(s): {was:.0}µs -> {is:.0}µs (>3x)",
+                num(p, "threads")
+            ));
         }
     }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"requests_per_sec\": {:.2}, \"p50_latency_us\": {:.1}, \"p99_latency_us\": {:.1}, \"mean_batch_fill\": {:.2}}}",
-            s.threads, s.req_per_sec, s.p50_us, s.p99_us, s.mean_batch_fill
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
+    failures.extend(harness::at_least(
+        overload,
+        "shed",
+        1.0,
+        "overload shed count (queue cap not enforced)",
+    ));
+    failures.extend(harness::at_least(
+        overload,
+        "accepted",
+        1.0,
+        "overload accepted count (shedding everything)",
+    ));
+    let p99_bound_us = 4.0 * OVERLOAD_DEADLINE.as_secs_f64() * 1e6;
+    for o in overload {
+        let p99 = num(o, "p99_accepted_latency_us");
+        if p99 > p99_bound_us {
+            failures.push(format!(
+                "overload at {} thread(s): accepted p99 {p99:.0}µs exceeds {p99_bound_us:.0}µs bound",
+                num(o, "threads")
+            ));
+        }
     }
-    json.push_str("  ],\n");
+    failures
 }
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let quick = std::env::var("ROTOM_BENCH_SCALE").as_deref() == Ok("quick");
     let requests_per_client = if quick { 24 } else { 96 };
+    let prev = harness::read(OUT_FILE, &GATED);
 
-    let current: Vec<Sample> = THREAD_COUNTS
+    let current: Vec<Json> = THREAD_COUNTS
         .iter()
         .map(|&t| {
             let s = run_config(t, requests_per_client);
             println!(
-                "serve /classify, {} score thread(s), {} clients: {:.0} req/s | p50 {:.0}µs p99 {:.0}µs | batch fill {:.2}",
-                s.threads, CLIENTS, s.req_per_sec, s.p50_us, s.p99_us, s.mean_batch_fill
+                "serve /classify, {t} score thread(s), {CLIENTS} clients: {:.0} req/s | p50 {:.0}µs p99 {:.0}µs | batch fill {:.2}",
+                num(&s, "requests_per_sec"),
+                num(&s, "p50_latency_us"),
+                num(&s, "p99_latency_us"),
+                num(&s, "mean_batch_fill")
             );
             s
         })
@@ -369,175 +356,141 @@ fn main() {
     // gated: the serving ratio is diluted by HTTP + batching overhead, so
     // the hard speedup floor lives in `inferbench --check` where the GEMMs
     // are measured directly.
-    let quant_rows: Vec<(Sample, Sample)> = THREAD_COUNTS
+    let quant_rows: Vec<Json> = THREAD_COUNTS
         .iter()
         .map(|&t| {
             let f = run_quant_config(t, requests_per_client, false);
             let q = run_quant_config(t, requests_per_client, true);
+            let (f_rps, q_rps) = (num(&f, "requests_per_sec"), num(&q, "requests_per_sec"));
             println!(
-                "serve /classify 40-token, {} score thread(s): f32 {:.0} req/s (p99 {:.0}µs) | i8 {:.0} req/s (p99 {:.0}µs) | {:.2}x",
-                t,
-                f.req_per_sec,
-                f.p99_us,
-                q.req_per_sec,
-                q.p99_us,
-                q.req_per_sec / f.req_per_sec
+                "serve /classify 40-token, {t} score thread(s): f32 {f_rps:.0} req/s (p99 {:.0}µs) | i8 {q_rps:.0} req/s (p99 {:.0}µs) | {:.2}x",
+                num(&f, "p99_latency_us"),
+                num(&q, "p99_latency_us"),
+                q_rps / f_rps
             );
-            (f, q)
+            row([
+                ("threads", fixed(t as f64, 0)),
+                ("f32_requests_per_sec", fixed(f_rps, 2)),
+                ("i8_requests_per_sec", fixed(q_rps, 2)),
+                ("i8_speedup", fixed(q_rps / f_rps, 3)),
+                ("f32_p50_latency_us", fixed(num(&f, "p50_latency_us"), 1)),
+                ("i8_p50_latency_us", fixed(num(&q, "p50_latency_us"), 1)),
+                ("f32_p99_latency_us", fixed(num(&f, "p99_latency_us"), 1)),
+                ("i8_p99_latency_us", fixed(num(&q, "p99_latency_us"), 1)),
+            ])
         })
         .collect();
 
     // Overload rows: offered load > capacity; gated on shape, not speed.
-    let overload_rows: Vec<OverloadSample> = THREAD_COUNTS
+    let overload_rows: Vec<Json> = THREAD_COUNTS
         .iter()
         .map(|&t| {
             let o = run_overload_config(t, requests_per_client);
             println!(
-                "serve overload, {} score thread(s), {} clients: offered {:.0} req/s | accepted {:.0} req/s ({}) | shed {} | accepted p99 {:.0}µs",
-                o.threads, OVERLOAD_CLIENTS, o.offered_rps, o.accepted_rps, o.accepted, o.shed, o.p99_accepted_us
+                "serve overload, {t} score thread(s), {OVERLOAD_CLIENTS} clients: offered {:.0} req/s | accepted {:.0} req/s ({}) | shed {} | accepted p99 {:.0}µs",
+                num(&o, "offered_requests_per_sec"),
+                num(&o, "accepted_requests_per_sec"),
+                num(&o, "accepted"),
+                num(&o, "shed"),
+                num(&o, "p99_accepted_latency_us")
             );
             o
         })
         .collect();
 
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Regression gate (ci.sh): sustained req/sec within 20% of the
-    // checked-in current numbers. The p99 gate is deliberately loose (3x):
-    // at a few hundred samples the tail is scheduler noise, so it only
-    // catches step-function regressions (a lost batch window, a stall),
-    // while throughput — averaged over every request — carries the tight
-    // bound.
+    let baseline = prev.baseline_or(&current);
     if check {
-        let prev = parse_section(&old, "current");
-        let mut failed = false;
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if now.req_per_sec < 0.8 * p.req_per_sec {
-                eprintln!(
-                    "servebench: req/sec regression at {} thread(s): {:.0} -> {:.0} (>20%)",
-                    p.threads, p.req_per_sec, now.req_per_sec
-                );
-                failed = true;
-            }
-            if now.p99_us > 3.0 * p.p99_us {
-                eprintln!(
-                    "servebench: p99 latency regression at {} thread(s): {:.0}µs -> {:.0}µs (>3x)",
-                    p.threads, p.p99_us, now.p99_us
-                );
-                failed = true;
-            }
-        }
-        // Overload gates are absolute (no baseline): under 2x+ capacity
-        // offered load, excess must actually shed, and the p99 of accepted
-        // requests must stay within a small multiple of the deadline budget
-        // — the signature of admission control working. The 4x headroom
-        // absorbs scheduler noise; latency *collapse* (unbounded queueing)
-        // is orders of magnitude, not 4x.
-        let p99_bound_us = 4.0 * OVERLOAD_DEADLINE.as_secs_f64() * 1e6;
-        for o in &overload_rows {
-            if o.shed == 0 {
-                eprintln!(
-                    "servebench: overload at {} thread(s) shed nothing — queue cap not enforced",
-                    o.threads
-                );
-                failed = true;
-            }
-            if o.accepted == 0 {
-                eprintln!(
-                    "servebench: overload at {} thread(s) accepted nothing — shedding everything",
-                    o.threads
-                );
-                failed = true;
-            }
-            if o.p99_accepted_us > p99_bound_us {
-                eprintln!(
-                    "servebench: overload at {} thread(s): accepted p99 {:.0}µs exceeds {:.0}µs bound",
-                    o.threads, o.p99_accepted_us, p99_bound_us
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
+        harness::enforce(
+            "servebench",
+            gate(&prev.current, &baseline, &current, &overload_rows),
+        );
+    }
+    let ratio = |s: &Json, b: &Json, key| fixed(num(s, key) / num(b, key), 3);
+    let trajectory = harness::vs_baseline(&baseline, &current, |s, b| {
+        vec![
+            ("throughput_ratio", ratio(s, b, "requests_per_sec")),
+            ("p99_ratio", ratio(s, b, "p99_latency_us")),
+        ]
+    });
+    harness::write(
+        OUT_FILE,
+        &[
+            (
+                "workload",
+                Json::Str(
+                    "rotom-serve POST /classify, 4 keep-alive clients, 1ms batch window, demo SST-2 model"
+                        .into(),
+                ),
+            ),
+            ("baseline", Json::Arr(baseline)),
+            ("current", Json::Arr(current)),
+            ("quant", Json::Arr(quant_rows)),
+            ("overload", Json::Arr(overload_rows)),
+            ("trajectory", Json::Arr(trajectory)),
+        ],
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const FILE: &str = include_str!("../../../../BENCH_serve.json");
+
+    fn recorded() -> harness::Recorded {
+        harness::parse(FILE, &GATED).unwrap()
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(
-        "  \"workload\": \"rotom-serve POST /classify, 4 keep-alive clients, 1ms batch window, demo SST-2 model\",\n",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"quant\": [\n");
-    for (i, (f, q)) in quant_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"f32_requests_per_sec\": {:.2}, \"i8_requests_per_sec\": {:.2}, \"i8_speedup\": {:.3}, \"f32_p50_latency_us\": {:.1}, \"i8_p50_latency_us\": {:.1}, \"f32_p99_latency_us\": {:.1}, \"i8_p99_latency_us\": {:.1}}}",
-            f.threads,
-            f.req_per_sec,
-            q.req_per_sec,
-            q.req_per_sec / f.req_per_sec,
-            f.p50_us,
-            q.p50_us,
-            f.p99_us,
-            q.p99_us
-        );
-        json.push_str(if i + 1 < quant_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+    fn overload() -> Vec<Json> {
+        let doc = harness::json::parse(FILE).unwrap();
+        doc.get("overload").and_then(Json::as_arr).unwrap().to_vec()
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"overload\": [\n");
-    for (i, o) in overload_rows.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"clients\": {OVERLOAD_CLIENTS}, \"deadline_ms\": {}, \"offered_requests_per_sec\": {:.2}, \"accepted_requests_per_sec\": {:.2}, \"accepted\": {}, \"shed\": {}, \"p99_accepted_latency_us\": {:.1}}}",
-            o.threads,
-            OVERLOAD_DEADLINE.as_millis(),
-            o.offered_rps,
-            o.accepted_rps,
-            o.accepted,
-            o.shed,
-            o.p99_accepted_us
-        );
-        json.push_str(if i + 1 < overload_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
+
+    fn gate_on(current: &[Json], overload: &[Json]) -> Vec<String> {
+        let r = recorded();
+        gate(&r.current, &r.baseline, current, overload)
     }
-    json.push_str("  ],\n");
-    json.push_str("  \"trajectory\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
+
+    #[test]
+    fn unchanged_numbers_pass() {
+        assert_eq!(
+            gate_on(&recorded().current, &overload()),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
+    fn a_quarter_slower_fails_at_every_thread_count() {
+        let current = recorded().current;
+        let slower = harness::map_key(&current, "requests_per_sec", |v| v * 0.75);
+        let failures = gate_on(&slower, &overload());
+        assert_eq!(failures.len(), current.len(), "{failures:?}");
+        assert!(failures.iter().all(|f| f.contains("req/sec regression")));
+    }
+
+    #[test]
+    fn each_latency_and_overload_limit_trips_on_its_own() {
+        let current = recorded().current;
+        let tail = harness::map_key(&current, "p99_latency_us", |v| v * 3.01);
+        let failures = gate_on(&tail, &overload());
+        assert_eq!(failures.len(), current.len(), "{failures:?}");
+        assert!(failures
             .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"throughput_ratio\": {:.3}, \"p99_ratio\": {:.3}}}",
-            s.threads,
-            s.req_per_sec / b.req_per_sec,
-            s.p99_us / b.p99_us
-        );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
+            .all(|f| f.contains("p99 latency regression")));
+
+        for (key, value, what) in [
+            ("shed", 0.0, "queue cap not enforced"),
+            ("accepted", 0.0, "shedding everything"),
+            (
+                "p99_accepted_latency_us",
+                200_001.0,
+                "exceeds 200000µs bound",
+            ),
+        ] {
+            let rows = harness::map_key(&overload(), key, |_| value);
+            let failures = gate_on(&current, &rows);
+            assert_eq!(failures.len(), rows.len(), "{key}: {failures:?}");
+            assert!(failures.iter().all(|f| f.contains(what)), "{failures:?}");
+        }
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_serve.json");
-    println!("wrote {OUT_FILE}");
 }

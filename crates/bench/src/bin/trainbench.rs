@@ -8,11 +8,11 @@
 //! the two finite-difference probes. Allocation is measured with a counting
 //! global allocator local to this binary.
 //!
-//! Because `ROTOM_THREADS` is read once per process, the parent re-executes
-//! itself once per thread count (1 and 8) and aggregates the children's
-//! results. The first run records its numbers as the `baseline` section;
-//! later runs preserve the existing baseline and update `current`, so the
-//! file carries the perf trajectory across PRs.
+//! The parent re-executes itself once per thread count (1 and 8) and
+//! aggregates the children's rows through [`rotom_bench::harness`]. The
+//! first run records its numbers as the `baseline` section; later runs
+//! preserve the existing baseline and update `current`, so the file carries
+//! the perf trajectory across PRs.
 //!
 //! Usage:
 //!   cargo run --release --offline --bin trainbench            # regenerate
@@ -21,11 +21,11 @@
 
 use rotom::config::ModelConfig;
 use rotom::TinyLm;
+use rotom_bench::harness::{self, fixed, num, row, Json};
 use rotom_datasets::textcls::{self, TextClsConfig, TextClsFlavor};
 use rotom_meta::{MetaConfig, MetaTrainer};
 use rotom_text::example::AugExample;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -53,20 +53,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-const THREAD_COUNTS: [usize; 2] = [1, 8];
 const CHILD_ENV: &str = "TRAINBENCH_CHILD";
 const OUT_FILE: &str = "BENCH_train.json";
-
-#[derive(Debug, Clone, Copy)]
-struct Sample {
-    threads: usize,
-    steps_per_sec: f64,
-    bytes_per_step: f64,
-}
+/// The recorded numbers the gate and the `speedup` section read.
+const GATED: [&str; 2] = ["steps_per_sec", "bytes_per_step"];
 
 /// One measured child process: run the meta-training hot loop at the current
-/// `ROTOM_THREADS` setting and print a parseable result line.
-fn run_child() {
+/// `ROTOM_THREADS` setting and return its row.
+fn run_child() -> Json {
     // Deterministic small-but-realistic task: the default TinyLm encoder
     // (d_model 32, 2 layers) over a synthetic sentiment task; the augmented
     // pool is identity augmentations so no InvDA model is involved.
@@ -77,9 +71,11 @@ fn run_child() {
         seed: 11,
     };
     let task = textcls::generate(TextClsFlavor::Sst2, &data_cfg);
-    let mut model_cfg = ModelConfig::default();
-    model_cfg.pretrain_epochs = 0;
-    model_cfg.pair_pretrain_epochs = 0;
+    let model_cfg = ModelConfig {
+        pretrain_epochs: 0,
+        pair_pretrain_epochs: 0,
+        ..ModelConfig::default()
+    };
     let corpus: Vec<Vec<String>> = task.train_pool.iter().map(|e| e.tokens.clone()).collect();
     let mut target = TinyLm::from_corpus(&corpus, task.num_classes, &model_cfg, 5e-4, 7);
     let aug: Vec<AugExample> = task.train_pool.iter().map(AugExample::identity).collect();
@@ -121,165 +117,90 @@ fn run_child() {
     rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     let threads = rotom_nn::RotomPool::global().threads();
+    let steps_per_sec = rates[rates.len() - 1];
+    let bytes_per_step = bytes as f64 / steps as f64;
     println!(
-        "TRAINBENCH threads={} steps={} steps_per_sec={:.6} bytes_per_step={:.1}",
-        threads,
-        steps,
-        rates[rates.len() - 1],
-        bytes as f64 / steps as f64,
+        "meta train step, {threads} thread(s): {steps_per_sec:.2} steps/s, {bytes_per_step:.0} bytes/step"
     );
+    row([
+        ("threads", fixed(threads as f64, 0)),
+        ("steps_per_sec", fixed(steps_per_sec, 4)),
+        ("bytes_per_step", fixed(bytes_per_step, 1)),
+    ])
 }
 
-/// Extract `key=value` from a child's result line.
-fn field(line: &str, key: &str) -> f64 {
-    let pat = format!("{key}=");
-    let start = line.find(&pat).unwrap_or_else(|| panic!("missing {key}")) + pat.len();
-    let rest = &line[start..];
-    let end = rest.find(' ').unwrap_or(rest.len());
-    rest[..end].parse().expect("numeric field")
-}
-
-/// Pull `(threads, steps_per_sec, bytes_per_step)` triples out of one JSON
-/// section (`"baseline"` or `"current"`) of a previous `BENCH_train.json`.
-/// Hand-rolled: the workspace carries no serde.
-fn parse_section(json: &str, section: &str) -> Vec<Sample> {
-    let key = format!("\"{section}\": [");
-    let Some(start) = json.find(&key) else {
-        return Vec::new();
-    };
-    let body = &json[start + key.len()..];
-    let Some(end) = body.find(']') else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for obj in body[..end].split('}') {
-        if !obj.contains("\"threads\"") {
-            continue;
-        }
-        let num = |k: &str| -> Option<f64> {
-            let pat = format!("\"{k}\": ");
-            let s = obj.find(&pat)? + pat.len();
-            let rest = &obj[s..];
-            let e = rest
-                .find(|c: char| c != '-' && c != '+' && c != '.' && c != 'e' && !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..e].parse().ok()
-        };
-        if let (Some(t), Some(sps), Some(bps)) =
-            (num("threads"), num("steps_per_sec"), num("bytes_per_step"))
-        {
-            out.push(Sample {
-                threads: t as usize,
-                steps_per_sec: sps,
-                bytes_per_step: bps,
-            });
-        }
-    }
-    out
-}
-
-fn write_section(json: &mut String, name: &str, samples: &[Sample]) {
-    let _ = writeln!(json, "  \"{name}\": [");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"steps_per_sec\": {:.4}, \"bytes_per_step\": {:.1}}}",
-            s.threads, s.steps_per_sec, s.bytes_per_step
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ],\n");
+/// The `--check` gate: steps/sec at each thread count must stay within 20%
+/// of the previously recorded `current` row.
+fn gate(prev: &[Json], _baseline: &[Json], current: &[Json]) -> Vec<String> {
+    harness::below(prev, current, "steps_per_sec", 0.8, "steps/sec regression")
 }
 
 fn main() {
-    if std::env::var(CHILD_ENV).is_ok() {
-        run_child();
-        return;
-    }
+    harness::child(CHILD_ENV, run_child);
     let check = std::env::args().any(|a| a == "--check");
-    let exe = std::env::current_exe().expect("current_exe");
-
-    let mut current = Vec::new();
-    for &threads in &THREAD_COUNTS {
-        let out = std::process::Command::new(&exe)
-            .env(CHILD_ENV, "1")
-            .env("ROTOM_THREADS", threads.to_string())
-            .output()
-            .expect("spawn trainbench child");
-        assert!(
-            out.status.success(),
-            "child (threads={threads}) failed:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let stdout = String::from_utf8_lossy(&out.stdout);
-        let line = stdout
-            .lines()
-            .find(|l| l.starts_with("TRAINBENCH "))
-            .expect("child result line");
-        let sample = Sample {
-            threads,
-            steps_per_sec: field(line, "steps_per_sec"),
-            bytes_per_step: field(line, "bytes_per_step"),
-        };
-        println!(
-            "meta train step, {} thread(s): {:.2} steps/s, {:.0} bytes/step",
-            sample.threads, sample.steps_per_sec, sample.bytes_per_step
-        );
-        current.push(sample);
-    }
-
-    let old = std::fs::read_to_string(OUT_FILE).unwrap_or_default();
-    let baseline = {
-        let b = parse_section(&old, "baseline");
-        if b.is_empty() {
-            println!("no existing baseline; recording this run as the baseline");
-            current.clone()
-        } else {
-            b
-        }
-    };
-
-    // Regression gate (ci.sh): new steps/sec must stay within 20% of the
-    // previously checked-in current numbers.
+    let prev = harness::read(OUT_FILE, &GATED);
+    let current = harness::sweep(CHILD_ENV, &[]);
+    let baseline = prev.baseline_or(&current);
     if check {
-        let prev = parse_section(&old, "current");
-        for p in &prev {
-            let Some(now) = current.iter().find(|s| s.threads == p.threads) else {
-                continue;
-            };
-            if now.steps_per_sec < 0.8 * p.steps_per_sec {
-                eprintln!(
-                    "trainbench: steps/sec regression at {} thread(s): {:.2} -> {:.2} (>20%)",
-                    p.threads, p.steps_per_sec, now.steps_per_sec
-                );
-                std::process::exit(1);
-            }
-        }
+        harness::enforce("trainbench", gate(&prev.current, &baseline, &current));
+    }
+    let speedup = harness::vs_baseline(&baseline, &current, |s, b| {
+        vec![
+            (
+                "steps_per_sec_ratio",
+                fixed(num(s, "steps_per_sec") / num(b, "steps_per_sec"), 3),
+            ),
+            (
+                "bytes_reduction",
+                fixed(
+                    num(b, "bytes_per_step") / num(s, "bytes_per_step").max(1.0),
+                    2,
+                ),
+            ),
+        ]
+    });
+    harness::write(
+        OUT_FILE,
+        &[
+            (
+                "workload",
+                Json::Str(
+                    "MetaTrainer::train_epoch, TinyLm d_model=32 L=2, batch 16, pool 64".into(),
+                ),
+            ),
+            ("baseline", Json::Arr(baseline)),
+            ("current", Json::Arr(current)),
+            ("speedup", Json::Arr(speedup)),
+        ],
+    );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn recorded() -> harness::Recorded {
+        harness::parse(include_str!("../../../../BENCH_train.json"), &GATED).unwrap()
     }
 
-    let mut json = String::from("{\n");
-    json.push_str(
-        "  \"workload\": \"MetaTrainer::train_epoch, TinyLm d_model=32 L=2, batch 16, pool 64\",\n",
-    );
-    write_section(&mut json, "baseline", &baseline);
-    write_section(&mut json, "current", &current);
-    json.push_str("  \"speedup\": [\n");
-    for (i, s) in current.iter().enumerate() {
-        let b = baseline
-            .iter()
-            .find(|x| x.threads == s.threads)
-            .copied()
-            .unwrap_or(*s);
-        let _ = write!(
-            json,
-            "    {{\"threads\": {}, \"steps_per_sec_ratio\": {:.3}, \"bytes_reduction\": {:.2}}}",
-            s.threads,
-            s.steps_per_sec / b.steps_per_sec,
-            b.bytes_per_step / s.bytes_per_step.max(1.0)
+    #[test]
+    fn unchanged_numbers_pass() {
+        let r = recorded();
+        assert_eq!(
+            gate(&r.current, &r.baseline, &r.current),
+            Vec::<String>::new()
         );
-        json.push_str(if i + 1 < current.len() { ",\n" } else { "\n" });
     }
-    json.push_str("  ]\n}\n");
-    std::fs::write(OUT_FILE, &json).expect("write BENCH_train.json");
-    println!("wrote {OUT_FILE}");
+
+    #[test]
+    fn a_quarter_slower_fails_at_every_thread_count() {
+        let r = recorded();
+        let slower = harness::map_key(&r.current, "steps_per_sec", |v| v * 0.75);
+        assert_eq!(
+            gate(&r.current, &r.baseline, &slower).len(),
+            r.current.len()
+        );
+        let within = harness::map_key(&r.current, "steps_per_sec", |v| v * 0.81);
+        assert!(gate(&r.current, &r.baseline, &within).is_empty());
+    }
 }

@@ -14,6 +14,8 @@
 
 #![warn(missing_docs)]
 
+pub mod harness;
+
 use rotom::pipeline::{prepare_base, run_method_with_base, PretrainedBase};
 use rotom::{mean_std, Method, RotomConfig, RunResult};
 use rotom_augment::InvDa;

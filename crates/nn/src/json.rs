@@ -1,14 +1,18 @@
-//! Minimal recursive JSON for the serving plane's request/response bodies.
+//! The workspace's one JSON reader and writer.
 //!
-//! The workspace carries no serde (offline policy), and the flat-object
-//! parser in `rotom_nn::telemetry` cannot represent the nested arrays a
-//! scoring request carries (`{"inputs": [["tok", …], …]}`), so this module
-//! implements the small recursive subset the server needs. Two properties
-//! matter more than generality:
+//! The workspace carries no serde (offline policy), so this module is the
+//! small recursive subset every JSON document in it needs: rotom-serve's
+//! request and response bodies (`{"inputs": [["tok", …], …]}`), telemetry
+//! JSONL records ([`crate::telemetry`]), and the bench harness's
+//! `BENCH_*.json` files and child result lines. Two properties matter more
+//! than generality:
 //!
 //! * **Total on untrusted input** — the parser never panics and bounds
-//!   recursion at [`MAX_DEPTH`]; byte volume is already bounded upstream by
-//!   the HTTP body cap.
+//!   recursion at [`MAX_DEPTH`]; byte volume is bounded by the caller (the
+//!   HTTP body cap, one JSONL line). `\u` escapes must carry four hex
+//!   digits, and UTF-16 surrogate pairs (`\ud83d\ude00`, what most JSON
+//!   encoders emit for characters outside the BMP) join into one `char`;
+//!   lone surrogates are rejected.
 //! * **Bit-exact number round-trips** — numbers are kept as their *raw
 //!   source text* ([`Json::Num`]) and parsed to `f32`/`f64` only on demand.
 //!   Scores are serialized with Rust's shortest-round-trip float formatting
@@ -16,7 +20,7 @@
 //!   equals the in-process score bit for bit — the property the serving
 //!   equivalence suite pins.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 32;
@@ -85,6 +89,47 @@ impl Json {
         match self {
             Json::Num(raw) => raw.parse().ok(),
             _ => None,
+        }
+    }
+}
+
+/// Renders the value as JSON: compact (`{"a":[1,2]}`) by default, with a
+/// space after every `,` and `:` under the alternate flag (`{:#}`, the row
+/// layout of the `BENCH_*.json` files). Numbers print their source text.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (comma, colon) = if f.alternate() {
+            (", ", ": ")
+        } else {
+            (",", ":")
+        };
+        match self {
+            Json::Null => f.write_str("null"),
+            Json::Bool(b) => write!(f, "{b}"),
+            Json::Num(raw) => f.write_str(raw),
+            Json::Str(s) => f.write_str(&quote(s)),
+            Json::Arr(items) => {
+                f.write_str("[")?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(comma)?;
+                    }
+                    v.fmt(f)?;
+                }
+                f.write_str("]")
+            }
+            Json::Obj(fields) => {
+                f.write_str("{")?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_str(comma)?;
+                    }
+                    f.write_str(&quote(k))?;
+                    f.write_str(colon)?;
+                    v.fmt(f)?;
+                }
+                f.write_str("}")
+            }
         }
     }
 }
@@ -207,48 +252,75 @@ fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
     }
     *pos += 1;
     let mut out = String::new();
-    let mut chars = s[*pos..].char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                *pos += i + 1;
+    loop {
+        // Copy the run up to the next quote, backslash or control byte (all
+        // ASCII, so the run ends on a char boundary).
+        let run = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\' | 0..=0x1f) {
+            *pos += 1;
+        }
+        out.push_str(&s[run..*pos]);
+        match bytes.get(*pos) {
+            Some(b'"') => {
+                *pos += 1;
                 return Ok(out);
             }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'b')) => out.push('\u{8}'),
-                Some((_, 'f')) => out.push('\u{c}'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((j, 'u')) => {
-                    let hex = s
-                        .get(*pos + j + 1..*pos + j + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                    // Surrogate pairs are not needed for the server's ASCII
-                    // payloads; lone surrogates are rejected by from_u32.
-                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            c if (c as u32) < 0x20 => {
-                return Err("raw control character in string".to_string());
+            Some(b'\\') => {
+                let escape = bytes.get(*pos + 1).copied();
+                *pos += 2;
+                out.push(match escape {
+                    Some(b'"') => '"',
+                    Some(b'\\') => '\\',
+                    Some(b'/') => '/',
+                    Some(b'b') => '\u{8}',
+                    Some(b'f') => '\u{c}',
+                    Some(b'n') => '\n',
+                    Some(b'r') => '\r',
+                    Some(b't') => '\t',
+                    Some(b'u') => unicode_escape(s, pos)?,
+                    other => return Err(format!("bad escape {:?}", other.map(char::from))),
+                });
             }
-            c => out.push(c),
+            Some(_) => return Err("raw control character in string".to_string()),
+            None => return Err("unterminated string".to_string()),
         }
     }
-    Err("unterminated string".to_string())
 }
 
-/// Render a JSON string literal (quoted, escaped).
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Decode a `\u` escape whose hex digits start at `*pos`, joining a UTF-16
+/// surrogate pair (`\ud83d\ude00`) into one `char`.
+fn unicode_escape(s: &str, pos: &mut usize) -> Result<char, String> {
+    let code = match hex4(s, pos)? {
+        high @ 0xD800..=0xDBFF => {
+            let low = if s[*pos..].starts_with("\\u") {
+                *pos += 2;
+                hex4(s, pos)?
+            } else {
+                0
+            };
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err("lone high surrogate in \\u escape".to_string());
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err("lone low surrogate in \\u escape".to_string()),
+        code => code,
+    };
+    char::from_u32(code).ok_or_else(|| "invalid \\u escape".to_string())
+}
+
+/// The four hex digits at `*pos` (nothing else: no sign, no shorter run).
+fn hex4(s: &str, pos: &mut usize) -> Result<u32, String> {
+    let hex = s
+        .get(*pos..*pos + 4)
+        .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()))
+        .ok_or("\\u escape needs four hex digits")?;
+    *pos += 4;
+    u32::from_str_radix(hex, 16).map_err(|e| e.to_string())
+}
+
+/// Append a JSON string literal (quoted, escaped) to `out`.
+pub fn push_quoted(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -264,6 +336,12 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
+}
+
+/// Render a JSON string literal (quoted, escaped).
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    push_quoted(&mut out, s);
     out
 }
 
@@ -272,7 +350,16 @@ pub fn quote(s: &str) -> String {
 /// `null` (JSON has no NaN/Inf) — scoring outputs are softmax probabilities,
 /// so this is a never-taken guard, not a lossy path.
 pub fn push_f32(out: &mut String, v: f32) {
-    if v.is_finite() {
+    push_float(out, v, v.is_finite());
+}
+
+/// Append an `f64` the way [`push_f32`] appends an `f32`.
+pub fn push_f64(out: &mut String, v: f64) {
+    push_float(out, v, v.is_finite());
+}
+
+fn push_float(out: &mut String, v: impl fmt::Debug, finite: bool) {
+    if finite {
         let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
@@ -395,5 +482,46 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-0.5));
         assert_eq!(arr[2].as_u64(), Some(7));
         assert_eq!(arr[0].as_u64(), None, "u64 accessor stays strict");
+    }
+
+    #[test]
+    fn surrogate_pairs_join_into_one_char() {
+        // What Python's `json.dumps(["café 😀"])` emits.
+        let doc = parse(r#"["caf\u00e9 \ud83d\ude00"]"#).unwrap();
+        assert_eq!(doc.as_arr().unwrap()[0].as_str(), Some("café 😀"));
+        let upper = parse(r#""\uD83D\uDE00""#).unwrap();
+        assert_eq!(upper.as_str(), Some("😀"));
+    }
+
+    #[test]
+    fn lone_surrogates_are_rejected() {
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ud83d\n""#,
+        ] {
+            assert!(parse(bad).unwrap_err().contains("high surrogate"), "{bad}");
+        }
+        assert!(parse(r#""\ude00""#).unwrap_err().contains("low surrogate"));
+    }
+
+    #[test]
+    fn unicode_escapes_need_four_hex_digits() {
+        // `u32::from_str_radix` alone would read `+041` as 0x41.
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u00g1""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+        assert_eq!(parse(r#""\u0041""#).unwrap().as_str(), Some("A"));
+    }
+
+    #[test]
+    fn display_renders_compact_and_spaced() {
+        let text = r#"{"a": [1, 2.50, "x\ny"], "b": {"c": null, "d": true}}"#;
+        let doc = parse(text).unwrap();
+        assert_eq!(format!("{doc:#}"), text);
+        let compact = doc.to_string();
+        assert_eq!(compact, r#"{"a":[1,2.50,"x\ny"],"b":{"c":null,"d":true}}"#);
+        assert_eq!(parse(&compact).unwrap(), doc);
     }
 }

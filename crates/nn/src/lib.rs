@@ -49,6 +49,7 @@ mod graph;
 pub mod health;
 pub mod infer;
 mod init;
+pub mod json;
 pub mod kernels;
 pub mod layers;
 mod optim;

@@ -5,10 +5,10 @@
 //! time. This module is the zero-dependency observability plane every crate
 //! in the workspace emits into:
 //!
-//! * **Records** are line-delimited JSON objects, hand-serialized (the
-//!   workspace carries no serde). Every record carries three required
-//!   fields — `ts_step` (a process-global monotonic sequence number),
-//!   `kind`, and `name` — plus arbitrary flat key/value fields.
+//! * **Records** are line-delimited JSON objects, written and read through
+//!   [`crate::json`] (the workspace carries no serde). Every record carries
+//!   three required fields — `ts_step` (a process-global monotonic sequence
+//!   number), `kind`, and `name` — plus arbitrary flat key/value fields.
 //! * **Kinds** are a small closed vocabulary: `step` (one optimizer step of
 //!   a target model), `meta` (one `M_F`/`M_W` decision batch), `aug` (one
 //!   augmentation batch per operator), `pool` (one worker-pool dispatch),
@@ -38,6 +38,7 @@
 //! and never mutates training state, so runs are bit-identical with
 //! telemetry on or off.
 
+use crate::json::{self, Json};
 use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -201,7 +202,7 @@ pub fn enabled() -> bool {
 /// Append one JSON field (`,"key":value`) to a line under construction.
 fn push_field(line: &mut String, key: &str, value: &Value) {
     line.push(',');
-    push_json_str(line, key);
+    json::push_quoted(line, key);
     line.push(':');
     match value {
         Value::U64(v) => {
@@ -210,31 +211,10 @@ fn push_field(line: &mut String, key: &str, value: &Value) {
         Value::I64(v) => {
             let _ = write!(line, "{v}");
         }
-        Value::F64(v) if v.is_finite() => {
-            let _ = write!(line, "{v:?}");
-        }
-        Value::F64(_) | Value::Null => line.push_str("null"),
-        Value::Str(s) => push_json_str(line, s),
+        Value::F64(v) => json::push_f64(line, *v),
+        Value::Null => line.push_str("null"),
+        Value::Str(s) => json::push_quoted(line, s),
     }
-}
-
-/// Append a JSON string literal (quoted, escaped).
-fn push_json_str(line: &mut String, s: &str) {
-    line.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            '\n' => line.push_str("\\n"),
-            '\r' => line.push_str("\\r"),
-            '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(line, "\\u{:04x}", c as u32);
-            }
-            c => line.push(c),
-        }
-    }
-    line.push('"');
 }
 
 /// Render one record to its JSONL form (no trailing newline). Exposed so the
@@ -328,10 +308,18 @@ impl Drop for Span {
 // ---------------------------------------------------------------------------
 
 /// Parse one JSONL telemetry line into a [`Record`], validating the schema:
-/// a flat JSON object whose first fields are `ts_step` (unsigned integer),
-/// `kind`, and `name` (strings), followed by scalar fields only.
+/// a flat JSON object carrying `ts_step` (unsigned integer), `kind` and
+/// `name` (non-empty strings) in any order, plus scalar fields only.
+/// Numbers map to the narrowest [`Value`] that holds them, and
+/// `true`/`false` read as 1/0.
 pub fn parse_line(line: &str) -> Result<Record, String> {
-    let mut fields = parse_flat_object(line.trim())?;
+    let Json::Obj(object) = json::parse(line)? else {
+        return Err("record must be a JSON object".to_string());
+    };
+    let mut fields = object
+        .into_iter()
+        .map(|(k, v)| Ok((k, scalar(v)?)))
+        .collect::<Result<Vec<(String, Value)>, String>>()?;
     if fields.len() < 3 {
         return Err("record must carry ts_step, kind, name".to_string());
     }
@@ -366,134 +354,26 @@ pub fn parse_line(line: &str) -> Result<Record, String> {
     })
 }
 
-/// Parse a flat (non-nested) JSON object into ordered key/value pairs.
-fn parse_flat_object(s: &str) -> Result<Vec<(String, Value)>, String> {
-    let bytes = s.as_bytes();
-    let mut pos = 0usize;
-    let skip_ws = |pos: &mut usize| {
-        while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-            *pos += 1;
-        }
-    };
-    skip_ws(&mut pos);
-    if pos >= bytes.len() || bytes[pos] != b'{' {
-        return Err("expected '{'".to_string());
-    }
-    pos += 1;
-    let mut out = Vec::new();
-    loop {
-        skip_ws(&mut pos);
-        if pos < bytes.len() && bytes[pos] == b'}' {
-            pos += 1;
-            break;
-        }
-        if !out.is_empty() {
-            if pos >= bytes.len() || bytes[pos] != b',' {
-                return Err(format!("expected ',' at byte {pos}"));
+/// A record field's [`Value`]: integers without a fraction or exponent as
+/// `U64`/`I64`, every other number as `F64`.
+fn scalar(value: Json) -> Result<Value, String> {
+    Ok(match value {
+        Json::Null => Value::Null,
+        Json::Bool(b) => Value::U64(b as u64),
+        Json::Str(s) => Value::Str(s),
+        Json::Num(raw) => {
+            let integral = !raw.contains(['.', 'e', 'E']);
+            match (raw.parse::<u64>(), raw.parse::<i64>()) {
+                (Ok(v), _) if integral => Value::U64(v),
+                (_, Ok(v)) if integral => Value::I64(v),
+                _ => Value::F64(
+                    raw.parse()
+                        .map_err(|e| format!("bad number {raw:?}: {e}"))?,
+                ),
             }
-            pos += 1;
-            skip_ws(&mut pos);
         }
-        let key = parse_json_string(s, &mut pos)?;
-        skip_ws(&mut pos);
-        if pos >= bytes.len() || bytes[pos] != b':' {
-            return Err(format!("expected ':' after key {key:?}"));
-        }
-        pos += 1;
-        skip_ws(&mut pos);
-        let value = parse_scalar(s, &mut pos)?;
-        out.push((key, value));
-    }
-    skip_ws(&mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing bytes after object at {pos}"));
-    }
-    Ok(out)
-}
-
-/// Parse a JSON string literal starting at `*pos`.
-fn parse_json_string(s: &str, pos: &mut usize) -> Result<String, String> {
-    let bytes = s.as_bytes();
-    if *pos >= bytes.len() || bytes[*pos] != b'"' {
-        return Err(format!("expected '\"' at byte {}", *pos));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    let mut chars = s[*pos..].char_indices();
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                *pos += i + 1;
-                return Ok(out);
-            }
-            '\\' => match chars.next() {
-                Some((_, '"')) => out.push('"'),
-                Some((_, '\\')) => out.push('\\'),
-                Some((_, '/')) => out.push('/'),
-                Some((_, 'n')) => out.push('\n'),
-                Some((_, 'r')) => out.push('\r'),
-                Some((_, 't')) => out.push('\t'),
-                Some((j, 'u')) => {
-                    let hex = s
-                        .get(*pos + j + 1..*pos + j + 5)
-                        .ok_or("truncated \\u escape")?;
-                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                    // Skip the 4 hex digits.
-                    for _ in 0..4 {
-                        chars.next();
-                    }
-                }
-                other => return Err(format!("bad escape {other:?}")),
-            },
-            c => out.push(c),
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-/// Parse a scalar JSON value (string, number, `null`, `true`, `false`).
-fn parse_scalar(s: &str, pos: &mut usize) -> Result<Value, String> {
-    let bytes = s.as_bytes();
-    match bytes.get(*pos) {
-        Some(b'"') => Ok(Value::Str(parse_json_string(s, pos)?)),
-        Some(b'n') if s[*pos..].starts_with("null") => {
-            *pos += 4;
-            Ok(Value::Null)
-        }
-        Some(b't') if s[*pos..].starts_with("true") => {
-            *pos += 4;
-            Ok(Value::U64(1))
-        }
-        Some(b'f') if s[*pos..].starts_with("false") => {
-            *pos += 5;
-            Ok(Value::U64(0))
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-            {
-                *pos += 1;
-            }
-            let tok = &s[start..*pos];
-            if tok.is_empty() {
-                return Err(format!("expected a value at byte {start}"));
-            }
-            if !tok.contains(['.', 'e', 'E']) {
-                if let Ok(v) = tok.parse::<u64>() {
-                    return Ok(Value::U64(v));
-                }
-                if let Ok(v) = tok.parse::<i64>() {
-                    return Ok(Value::I64(v));
-                }
-            }
-            tok.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|e| format!("bad number {tok:?}: {e}"))
-        }
-        None => Err("expected a value, found end of line".to_string()),
-    }
+        Json::Arr(_) | Json::Obj(_) => return Err("record fields must be scalars".to_string()),
+    })
 }
 
 #[cfg(test)]

@@ -403,7 +403,7 @@ mod tests {
     #[test]
     fn oversized_head_is_431_even_unterminated() {
         let mut raw = b"GET / HTTP/1.1\r\n".to_vec();
-        raw.extend(std::iter::repeat(b'a').take(MAX_HEAD_BYTES + 8));
+        raw.extend(std::iter::repeat_n(b'a', MAX_HEAD_BYTES + 8));
         assert_eq!(parse_request(&raw), Err(HttpError::HeadersTooLarge));
     }
 

@@ -27,17 +27,21 @@
 //!
 //! The [`http`] parser is incremental and pipelining-aware, with a strict
 //! error taxonomy (400/408/411/413/431/501/505) fuzzed by the
-//! `http_props` test suite; [`json`] keeps `f32` scores bit-identical over
-//! the wire by round-tripping shortest-form number text. [`client`] is the
-//! matching minimal client used by the e2e tests and `servebench`.
+//! `http_props` test suite. Bodies are read and written with
+//! [`json`], a re-export of `rotom_nn::json`, the workspace's one JSON
+//! codec (shared with telemetry and the bench harness): it keeps `f32`
+//! scores bit-identical over the wire by round-tripping shortest-form
+//! number text. [`client`] is the matching minimal client used by the e2e
+//! tests and `servebench`.
 
 pub mod batcher;
 pub mod client;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod plane;
 pub mod server;
+
+pub use rotom_nn::json;
 
 pub use batcher::{Batcher, BatcherConfig, DrainReport, JobError, JobReply, JobResult};
 pub use client::{post_with_retry, Client, Response, RetryPolicy};

@@ -9,6 +9,10 @@
 use rotom_nn::telemetry::{self, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One plane's state for `/metrics`: `(endpoint_name, quant_tier_label,
+/// Option<(hits, misses, evictions, entries)>)` of its score cache.
+pub type PlaneStats<'a> = (&'a str, &'a str, Option<(u64, u64, u64, usize)>);
+
 /// Number of log2 latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` microseconds, with the last bucket open-ended
 /// (≥ ~34 s — nothing a request should ever see).
@@ -53,12 +57,10 @@ impl LatencyHistogram {
 
     /// Mean latency in microseconds (0 when empty).
     pub fn mean_us(&self) -> u64 {
-        let n = self.count();
-        if n == 0 {
-            0
-        } else {
-            self.total_us.load(Ordering::Relaxed) / n
-        }
+        self.total_us
+            .load(Ordering::Relaxed)
+            .checked_div(self.count())
+            .unwrap_or(0)
     }
 
     /// Upper-bound estimate of quantile `q` (0 < q ≤ 1) in microseconds:
@@ -141,10 +143,9 @@ impl ServeMetrics {
         ctr.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Render the `/metrics` JSON document. `planes` supplies per-endpoint
-    /// state as `(endpoint_name, quant_tier_label, Option<(hits, misses,
-    /// evictions, entries)>)`.
-    pub fn render_json(&self, planes: &[(&str, &str, Option<(u64, u64, u64, usize)>)]) -> String {
+    /// Render the `/metrics` JSON document from each plane's
+    /// [`PlaneStats`].
+    pub fn render_json(&self, planes: &[PlaneStats]) -> String {
         use rotom_nn::kernels::profile;
         let mut out = String::with_capacity(1024);
         out.push_str("{\"endpoints\":{");

@@ -27,7 +27,7 @@
 use crate::batcher::{endpoint_index, Batcher, BatcherConfig, DrainReport, JobError};
 use crate::http::{self, Request};
 use crate::json::{self, Json};
-use crate::metrics::ServeMetrics;
+use crate::metrics::{PlaneStats, ServeMetrics};
 use crate::plane::{demo_model, demo_model_config, Endpoint, TaskPlane};
 use rotom_nn::faultpoint::{self, FaultKind};
 use std::io::{ErrorKind, Read, Write};
@@ -476,7 +476,7 @@ fn route(req: &Request, inner: &Inner) -> Routed {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => Routed::ok("{\"status\":\"ok\"}".into()),
         ("GET", "/metrics") => {
-            let stats: Vec<(&str, &str, Option<(u64, u64, u64, usize)>)> = inner
+            let stats: Vec<PlaneStats> = inner
                 .planes
                 .iter()
                 .map(|p| (p.endpoint().name(), p.quant_mode().label(), p.cache_stats()))
