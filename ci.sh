@@ -84,6 +84,16 @@ for t in 1 8; do
         --test infer_equivalence_telemetry
 done
 
+# The tape's [CLS] band (encode_cls runs the last encoder layer on the
+# band holding row 0) against the full pass: loss, dropout RNG state and
+# post-Adam parameters bit-identical, gradients equal as f32. The full pass
+# fans out over the pool while the band runs serially, so each worker count
+# is its own invocation.
+for t in 1 8; do
+    echo "== tape [CLS] band vs full pass (ROTOM_THREADS=$t)"
+    ROTOM_THREADS=$t cargo test -q --offline -p rotom-nn --test band_tape
+done
+
 # Regenerates BENCH_infer.json and exits non-zero if tape-free scoring or
 # decode throughput regresses more than 20%, or the tape-free speedup over
 # the tape path drops below its 2x floor, or the quantized i8 tier drops

@@ -12,6 +12,11 @@
 //! demands that each named record kind appears at least once — the CI smoke
 //! uses it to prove a training run exercised the step, meta-decision,
 //! augmentation, and pool instrumentation.
+//!
+//! When the capture holds `meta.decision` records, a second table totals
+//! their per-phase durations (the `*_ms` fields: candidate scoring, `M_W`
+//! forward, target step, validation step, finite-difference probes, `M_W`
+//! update) over the run, with each phase's share.
 
 use rotom::telemetry::{parse_line, Record};
 use rotom_bench::print_table;
@@ -49,6 +54,43 @@ fn fmt(v: f64) -> String {
     } else {
         format!("{v:.4}")
     }
+}
+
+/// Per-phase totals of the meta step, from the `*_ms` fields of the
+/// `meta.decision` stream.
+fn print_meta_phases(aggs: &BTreeMap<(String, String), Agg>) {
+    let Some(agg) = aggs.get(&("meta".to_string(), "meta.decision".to_string())) else {
+        return;
+    };
+    let phases: Vec<(&str, f64)> = agg
+        .fields
+        .iter()
+        .filter_map(|(k, sum, ..)| k.strip_suffix("_ms").map(|p| (p, *sum)))
+        .collect();
+    let total: f64 = phases.iter().map(|(_, ms)| ms).sum();
+    if phases.is_empty() || total <= 0.0 {
+        return;
+    }
+    let header: Vec<String> = ["phase", "total_ms", "share"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    let mut rows: Vec<Vec<String>> = phases
+        .iter()
+        .map(|(p, ms)| {
+            vec![
+                p.to_string(),
+                format!("{ms:.1}"),
+                format!("{:.1}%", 100.0 * ms / total),
+            ]
+        })
+        .collect();
+    rows.push(vec!["total".into(), format!("{total:.1}"), "100.0%".into()]);
+    print_table(
+        &format!("meta-step phases over {} steps", agg.count),
+        &header,
+        &rows,
+    );
 }
 
 fn main() -> ExitCode {
@@ -161,6 +203,7 @@ fn main() -> ExitCode {
         }
     }
     print_table(&format!("telemetry: {path}"), &header, &rows);
+    print_meta_phases(&aggs);
     println!(
         "\n{} records, {} streams, {} parse errors",
         records.len(),

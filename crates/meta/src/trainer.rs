@@ -37,6 +37,7 @@ use rotom_rng::{RngExt, SeedableRng};
 use rotom_text::example::{AugExample, Example};
 use rotom_text::vocab::Vocab;
 use std::collections::VecDeque;
+use std::time::Instant;
 
 /// Semi-supervised learning options (§5).
 #[derive(Debug, Clone)]
@@ -208,6 +209,7 @@ impl MetaTrainer {
         let mut stats = EpochStats::default();
         let mut cursor = 0usize;
         while cursor < order.len() {
+            let mut clock = PhaseClock::start();
             // ----------------------------------------------------------
             // Batch assembly with filtering (+ refill on aggressive drops).
             // ----------------------------------------------------------
@@ -220,17 +222,27 @@ impl MetaTrainer {
             // while a batch is being assembled (the phase-1 step comes
             // after), so scoring one window ahead across the worker pool
             // yields exactly the values the serial loop would compute, in
-            // the same order. Scores left over when the batch closes are
-            // discarded — the optimizer step invalidates them.
+            // the same order. A window covers the slots still open in the
+            // batch (at least one candidate per worker); scores left over
+            // when the batch closes are discarded — the optimizer step
+            // invalidates them.
             let mut scored: VecDeque<(Vec<f32>, Vec<f32>)> = VecDeque::new();
             let mut scored_to = cursor;
             while items.len() < b && cursor < order.len() {
                 if scored.is_empty() {
-                    let window = &order[scored_to..(scored_to + b).min(order.len())];
+                    let want = (b - items.len()).max(workers.threads());
+                    let window = &order[scored_to..(scored_to + want).min(order.len())];
                     let t: &T = target;
                     scored.extend(workers.map(window.len(), |j| {
                         let e = &train_aug[window[j]];
-                        (t.predict_proba(&e.orig), t.predict_proba(&e.aug))
+                        let p_orig = t.predict_proba(&e.orig);
+                        // Identity pairs (`x̂ = x`) are scored once.
+                        let p_aug = if e.aug == e.orig {
+                            p_orig.clone()
+                        } else {
+                            t.predict_proba(&e.aug)
+                        };
+                        (p_orig, p_aug)
                     }));
                     scored_to += window.len();
                 }
@@ -306,6 +318,8 @@ impl MetaTrainer {
                 }
             }
 
+            let score_ms = clock.lap();
+
             // ----------------------------------------------------------
             // Weighting (M_W forward; weights enter phase 1 as constants).
             // ----------------------------------------------------------
@@ -328,6 +342,7 @@ impl MetaTrainer {
             if self.cfg.ablation.disable_weighting {
                 stats.mean_weight += 1.0;
             }
+            let mw_forward_ms = clock.lap();
 
             // ----------------------------------------------------------
             // Phase 1: update the target model on the weighted batch.
@@ -338,6 +353,7 @@ impl MetaTrainer {
             }
             let g = target.flat_grads();
             target.optimizer_step();
+            let target_ms = clock.lap();
 
             // ----------------------------------------------------------
             // Phase 2: virtual step, validation loss, policy updates.
@@ -352,8 +368,10 @@ impl MetaTrainer {
             let v = target.flat_grads();
             // Restore M.
             target.add_scaled(&g, eta);
+            let val_ms = clock.lap();
 
             // Probes M± = M ± ε·∇M'Lossval, per-example losses under each.
+            let (mut probe_ms, mut mw_update_ms) = (0.0, 0.0);
             if let Some(weight_batch) = weight_batch {
                 let eps = self.cfg.epsilon;
                 target.add_scaled(&v, eps);
@@ -361,8 +379,10 @@ impl MetaTrainer {
                 target.add_scaled(&v, -2.0 * eps);
                 let c_minus = target.per_example_losses(&items);
                 target.add_scaled(&v, eps);
+                probe_ms = clock.lap();
                 self.weight
                     .update_finite_difference(weight_batch, &c_plus, &c_minus, eta, eps);
+                mw_update_ms = clock.lap();
             }
 
             // REINFORCE with a running-mean baseline (see module docs).
@@ -439,6 +459,12 @@ impl MetaTrainer {
                         ("w_hist_5", Value::U64(hist[5])),
                         ("w_hist_6", Value::U64(hist[6])),
                         ("w_hist_7", Value::U64(hist[7])),
+                        ("score_ms", Value::F64(score_ms)),
+                        ("mw_forward_ms", Value::F64(mw_forward_ms)),
+                        ("target_ms", Value::F64(target_ms)),
+                        ("val_ms", Value::F64(val_ms)),
+                        ("probe_ms", Value::F64(probe_ms)),
+                        ("mw_update_ms", Value::F64(mw_update_ms)),
                     ],
                 );
             }
@@ -516,6 +542,26 @@ pub fn guard_step<T: MetaTarget + ?Sized>(
     match monitor.observe(loss, grad_norm) {
         Verdict::Healthy => Ok(()),
         Verdict::Diverged(reason) => Err(Halt { step, reason }),
+    }
+}
+
+/// Wall-clock split of one meta step into its phases. The clock is read
+/// only while telemetry is on, so a run without a sink pays one atomic load
+/// per step and no system call.
+struct PhaseClock(Option<Instant>);
+
+impl PhaseClock {
+    fn start() -> Self {
+        Self(telemetry::enabled().then(Instant::now))
+    }
+
+    /// Milliseconds since the previous lap (0 with telemetry off).
+    fn lap(&mut self) -> f64 {
+        let Some(last) = &mut self.0 else { return 0.0 };
+        let now = Instant::now();
+        let ms = (now - *last).as_secs_f64() * 1e3;
+        *last = now;
+        ms
     }
 }
 
@@ -843,6 +889,85 @@ mod tests {
         // The injected fault corrupted the parameters — exactly what the
         // driver's rollback must repair.
         assert!(target.flat_params().iter().any(|v| v.is_nan()));
+    }
+
+    /// Delegates to a [`BowTarget`], counting candidate scorings: only
+    /// direct `predict_proba` calls count, not the ones inside the inner
+    /// target's `per_example_losses`.
+    struct Counting {
+        inner: BowTarget,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl MetaTarget for Counting {
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+        fn predict_proba(&self, tokens: &[String]) -> Vec<f32> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.predict_proba(tokens)
+        }
+        fn weighted_loss_backward(
+            &mut self,
+            items: &[WeightedItem],
+            train: bool,
+            rng: &mut StdRng,
+        ) -> f32 {
+            self.inner.weighted_loss_backward(items, train, rng)
+        }
+        fn per_example_losses(&self, items: &[WeightedItem]) -> Vec<f32> {
+            self.inner.per_example_losses(items)
+        }
+        fn flat_params(&self) -> Vec<f32> {
+            self.inner.flat_params()
+        }
+        fn set_flat_params(&mut self, flat: &[f32]) {
+            self.inner.set_flat_params(flat)
+        }
+        fn add_scaled(&mut self, delta: &[f32], alpha: f32) {
+            self.inner.add_scaled(delta, alpha)
+        }
+        fn flat_grads(&self) -> Vec<f32> {
+            self.inner.flat_grads()
+        }
+        fn optimizer_step(&mut self) {
+            self.inner.optimizer_step()
+        }
+        fn learning_rate(&self) -> f32 {
+            self.inner.learning_rate()
+        }
+    }
+
+    #[test]
+    fn candidates_are_scored_once_and_windows_track_open_slots() {
+        // Every candidate of the pool is consumed once per epoch, so the
+        // scorings a consumed candidate needs are one per identity pair
+        // (x̂ = x is scored once) and two per other pair. A prefetch window
+        // covers the batch's open slots but at least one candidate per
+        // worker, so at most `threads − 1` candidates (two scorings each)
+        // are scored and discarded when a batch closes.
+        let (train, aug) = toy_data();
+        let identity = aug.iter().filter(|e| e.aug == e.orig).count();
+        let needed = identity + 2 * (aug.len() - identity);
+        let threads = RotomPool::global().threads();
+        let mut target = Counting {
+            inner: BowTarget::new(&words(), 2, 0.2),
+            calls: Default::default(),
+        };
+        let mut t = trainer(false);
+        for epoch in 0..4 {
+            target.calls = Default::default();
+            let stats = t.train_epoch(&mut target, &aug, &train, &[]);
+            let calls = target.calls.into_inner();
+            let slack = 2 * (threads - 1) * stats.steps;
+            assert!(
+                (needed..=needed + slack).contains(&calls),
+                "epoch {epoch}: {calls} scorings, {needed} needed, {slack} slack \
+                 ({} steps, {threads} threads)",
+                stats.steps
+            );
+        }
     }
 
     #[test]

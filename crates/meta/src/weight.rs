@@ -120,6 +120,20 @@ impl WeightModel {
         eta: f32,
         eps: f32,
     ) -> Vec<f32> {
+        self.backprop_meta_grad(batch, c_plus, c_minus, eta, eps);
+        self.store.flat_grads()
+    }
+
+    /// The body of [`estimate_meta_grad`](Self::estimate_meta_grad): leave
+    /// the estimate in the store's gradient buffers only.
+    fn backprop_meta_grad(
+        &mut self,
+        batch: WeightBatch,
+        c_plus: &[f32],
+        c_minus: &[f32],
+        eta: f32,
+        eps: f32,
+    ) {
         let WeightBatch {
             mut tape,
             nodes,
@@ -146,7 +160,6 @@ impl WeightModel {
         self.store.zero_grad();
         tape.backward(objective, &mut self.store);
         recycle_tape(tape);
-        self.store.flat_grads()
     }
 
     /// Eq.-4 update. Estimates `∇M_W(Lossval)` via
@@ -165,7 +178,7 @@ impl WeightModel {
             return;
         }
         let n = batch.nodes.len();
-        let _ = self.estimate_meta_grad(batch, c_plus, c_minus, eta, eps);
+        self.backprop_meta_grad(batch, c_plus, c_minus, eta, eps);
         // Observed before clipping mutates the gradients: the raw Eq.-4
         // meta-gradient magnitude is the interesting signal.
         if rotom_nn::telemetry::enabled() {

@@ -14,10 +14,10 @@
 //! its own memory instead of round-tripping through the allocator:
 //!
 //! * Every node value, gradient, and heavy op payload is drawn from a
-//!   per-tape arena — a [`FreeList`] keyed by element count, the same type
-//!   the inference plane's workspaces use. After
-//!   [`Tape::reset`] returns those buffers, the next identically-shaped
-//!   graph allocates nothing.
+//!   per-tape arena — a [`FreeList`] of power-of-two size classes, the same
+//!   type the inference plane's workspaces use. After [`Tape::reset`]
+//!   returns those buffers, the next graph of the same or nearby shapes
+//!   (another sequence length in the same classes) allocates nothing.
 //! * Whole tapes are recycled through a global pool
 //!   ([`take_pooled_tape`] / [`recycle_tape`] / [`with_pooled_tape`]), so
 //!   hot loops that build one tape per batch reuse warm arenas across
@@ -34,6 +34,14 @@
 //! All of this is bit-transparent: dispatch thresholds and accumulation
 //! orders are unchanged, so results are identical to the allocating paths.
 //!
+//! # Bands
+//!
+//! A classifier reads only the `[CLS]` row of the last encoder layer.
+//! [`Tape::band`] selects the [`Rows`] band holding it from a full node;
+//! row-wise ops keep the band, and GEMMs with a band left operand compute
+//! its rows of the full product with the full pass's dispatch, forward and
+//! backward — the same band replay the inference plane runs.
+//!
 //! The op set is deliberately small — exactly what a Transformer
 //! encoder/decoder, the Rotom filtering/weighting models, and the baseline
 //! RNNs need. Forward values of the shared ops (softmax, log-softmax,
@@ -42,7 +50,7 @@
 //! and tape-free forwards cannot drift apart.
 
 use crate::freelist::FreeList;
-use crate::kernels;
+use crate::kernels::{self, Rows};
 use crate::params::{ParamId, ParamPacks, ParamStore};
 use crate::pool::RotomPool;
 use crate::tensor::Tensor;
@@ -155,6 +163,10 @@ struct Node {
     op: Op,
     value: Tensor,
     grad: Option<Tensor>,
+    /// The rows of the logical pass this value holds: every row, or the
+    /// band a [`Tape::band`] node selected (inherited by row-wise ops).
+    /// GEMMs dispatch on `rows.full`.
+    rows: Rows,
 }
 
 /// Retained-floats cap per tape arena (32 MB). A training tape for the
@@ -193,7 +205,9 @@ impl Tape {
         // Disjoint-field borrows: the drain holds `self.nodes`, recycling
         // touches only `self.arena` / the small pools.
         for node in self.nodes.drain(..) {
-            let Node { op, value, grad } = node;
+            let Node {
+                op, value, grad, ..
+            } = node;
             self.arena.put(value.into_vec());
             if let Some(g) = grad {
                 self.arena.put(g.into_vec());
@@ -222,10 +236,24 @@ impl Tape {
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> NodeId {
+        let rows = Rows::all(value.rows());
+        self.push_rows(op, value, rows)
+    }
+
+    /// Push the result of a row-wise op on `like`: it covers the same rows
+    /// of the same logical pass.
+    fn push_like(&mut self, op: Op, value: Tensor, like: NodeId) -> NodeId {
+        let rows = self.nodes[like.0].rows;
+        self.push_rows(op, value, rows)
+    }
+
+    fn push_rows(&mut self, op: Op, value: Tensor, rows: Rows) -> NodeId {
+        debug_assert_eq!(value.rows(), rows.len);
         self.nodes.push(Node {
             op,
             value,
             grad: None,
+            rows,
         });
         NodeId(self.nodes.len() - 1)
     }
@@ -233,6 +261,11 @@ impl Tape {
     /// Value of a node.
     pub fn value(&self, id: NodeId) -> &Tensor {
         &self.nodes[id.0].value
+    }
+
+    /// The rows of its pass a node holds: every row, or a [`band`](Self::band).
+    pub fn rows(&self, id: NodeId) -> Rows {
+        self.nodes[id.0].rows
     }
 
     /// Gradient of a node after [`backward`](Self::backward); zeros if the
@@ -350,40 +383,46 @@ impl Tape {
 
     /// `a * b` (matrix product). When `b` is a parameter node and the shape
     /// dispatches to the tiled path, runs on the generation's cached panels
-    /// (bit-identical to packing on the fly).
+    /// (bit-identical to packing on the fly). A band `a` computes its rows
+    /// of the full product (dispatch on the full row count); `b` must not be
+    /// a band.
     pub fn matmul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (m, k) = self.shape(a);
         let (k2, n) = self.shape(b);
         assert_eq!(k, k2, "matmul shape mismatch: {m}x{k} * {k2}x{n}");
+        assert!(self.nodes[b.0].rows.is_all(), "matmul rhs is a band");
+        let rows = self.nodes[a.0].rows;
         let mut out = self.arena.take(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let bn = &self.nodes[b.0];
-            let bv = bn.value.data();
-            let pool = RotomPool::global();
             let pk = match &bn.op {
-                Op::Param { packs, .. } if m * k * n >= kernels::SMALL_FLOPS => {
+                Op::Param { packs, .. } if rows.full * k * n >= kernels::SMALL_FLOPS => {
                     packs.direct(&bn.value)
                 }
                 _ => None,
             };
-            kernels::matmul_into(av, bv, pk, m, k, n, pool, &mut out);
+            let pool = RotomPool::global();
+            rows.matmul_into(av, bn.value.data(), pk, k, n, pool, &mut out);
         }
-        self.push(Op::Matmul(a, b), Tensor::from_vec(out, m, n))
+        self.push_like(Op::Matmul(a, b), Tensor::from_vec(out, m, n), a)
     }
 
-    /// `a * b^T` without materializing the transpose.
+    /// `a * b^T` without materializing the transpose. A band `a` computes
+    /// its rows of the full product; `b` must not be a band.
     pub fn matmul_tb(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let (m, k) = self.shape(a);
         let (n, k2) = self.shape(b);
         assert_eq!(k, k2, "matmul_tb shape mismatch: {m}x{k} * ({n}x{k2})^T");
+        assert!(self.nodes[b.0].rows.is_all(), "matmul_tb rhs is a band");
+        let rows = self.nodes[a.0].rows;
         let mut out = self.arena.take(m * n);
         {
             let av = self.nodes[a.0].value.data();
             let bv = self.nodes[b.0].value.data();
-            kernels::matmul_transpose_b_into(av, bv, None, m, k, n, RotomPool::global(), &mut out);
+            rows.matmul_transpose_b_into(av, bv, None, k, n, RotomPool::global(), &mut out);
         }
-        self.push(Op::MatmulTb(a, b), Tensor::from_vec(out, m, n))
+        self.push_like(Op::MatmulTb(a, b), Tensor::from_vec(out, m, n), a)
     }
 
     /// Elementwise `a + b`.
@@ -396,19 +435,19 @@ impl Tape {
             self.nodes[b.0].value.data(),
             &mut out,
         );
-        self.push(Op::Add(a, b), Tensor::from_vec(out, r, c))
+        self.push_like(Op::Add(a, b), Tensor::from_vec(out, r, c), a)
     }
 
     /// Elementwise `a - b`.
     pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.zip_into(a, b, |x, y| x - y);
-        self.push(Op::Sub(a, b), v)
+        self.push_like(Op::Sub(a, b), v, a)
     }
 
     /// Elementwise `a ⊙ b`.
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         let v = self.zip_into(a, b, |x, y| x * y);
-        self.push(Op::Mul(a, b), v)
+        self.push_like(Op::Mul(a, b), v, a)
     }
 
     /// Add a `1 x n` row vector node to every row of an `m x n` node.
@@ -420,7 +459,7 @@ impl Tape {
         let mut out = self.copy_value(a);
         let bias = self.nodes[row.0].value.data();
         kernels::bias_act_apply(&mut out, m, n, Some(bias), kernels::Act::None);
-        self.push(Op::AddRow(a, row), Tensor::from_vec(out, m, n))
+        self.push_like(Op::AddRow(a, row), Tensor::from_vec(out, m, n), a)
     }
 
     /// Multiply every row of an `m x n` node by a `1 x n` row vector node.
@@ -443,7 +482,7 @@ impl Tape {
                 }
             }
         }
-        self.push(Op::MulRow(a, row), Tensor::from_vec(out, m, n))
+        self.push_like(Op::MulRow(a, row), Tensor::from_vec(out, m, n), a)
     }
 
     /// `a * c` for a compile-time constant `c`.
@@ -451,13 +490,13 @@ impl Tape {
         let (m, n) = self.shape(a);
         let mut out = self.copy_value(a);
         kernels::scale_fwd(&mut out, c);
-        self.push(Op::Scale(a, c), Tensor::from_vec(out, m, n))
+        self.push_like(Op::Scale(a, c), Tensor::from_vec(out, m, n), a)
     }
 
     /// `a + c` elementwise for a constant `c`.
     pub fn add_const(&mut self, a: NodeId, c: f32) -> NodeId {
         let v = self.map_into(a, |x| x + c);
-        self.push(Op::AddConst(a), v)
+        self.push_like(Op::AddConst(a), v, a)
     }
 
     // ------------------------------------------------------------------
@@ -467,7 +506,7 @@ impl Tape {
     /// Rectified linear unit.
     pub fn relu(&mut self, a: NodeId) -> NodeId {
         let v = self.map_into(a, |x| x.max(0.0));
-        self.push(Op::Relu(a), v)
+        self.push_like(Op::Relu(a), v, a)
     }
 
     /// GELU (tanh approximation). The forward `tanh` values are cached on
@@ -478,7 +517,7 @@ impl Tape {
         let mut t = self.arena.take(m * n);
         let mut out = self.arena.take(m * n);
         kernels::gelu_fwd(self.nodes[a.0].value.data(), &mut out, Some(&mut t));
-        self.push(Op::Gelu { a, t }, Tensor::from_vec(out, m, n))
+        self.push_like(Op::Gelu { a, t }, Tensor::from_vec(out, m, n), a)
     }
 
     /// Hyperbolic tangent ([`kernels::tanh_fwd`]).
@@ -486,13 +525,13 @@ impl Tape {
         let (m, n) = self.shape(a);
         let mut out = self.arena.take(m * n);
         kernels::tanh_fwd(self.nodes[a.0].value.data(), &mut out);
-        self.push(Op::Tanh(a), Tensor::from_vec(out, m, n))
+        self.push_like(Op::Tanh(a), Tensor::from_vec(out, m, n), a)
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         let v = self.map_into(a, |x| 1.0 / (1.0 + kernels::exp_f32(-x)));
-        self.push(Op::Sigmoid(a), v)
+        self.push_like(Op::Sigmoid(a), v, a)
     }
 
     /// Row-wise softmax.
@@ -509,7 +548,7 @@ impl Tape {
         let mut out = self.arena.take(m * n);
         let x = self.nodes[a.0].value.data();
         kernels::softmax_fwd(x, mask.map(|mk| mk.data()), m, n, &mut out);
-        self.push(Op::Softmax(a), Tensor::from_vec(out, m, n))
+        self.push_like(Op::Softmax(a), Tensor::from_vec(out, m, n), a)
     }
 
     /// Row-wise log-softmax.
@@ -528,7 +567,7 @@ impl Tape {
                 }
             }
         }
-        self.push(Op::LogSoftmax(a), Tensor::from_vec(out, m, n))
+        self.push_like(Op::LogSoftmax(a), Tensor::from_vec(out, m, n), a)
     }
 
     /// Row-wise layer normalization with learned `gamma`/`beta` row nodes.
@@ -546,7 +585,7 @@ impl Tape {
             &mut out,
             Some(&mut stats),
         );
-        self.push(
+        self.push_like(
             Op::LayerNorm {
                 x,
                 gamma,
@@ -554,6 +593,7 @@ impl Tape {
                 stats,
             },
             Tensor::from_vec(out, m, nc),
+            x,
         )
     }
 
@@ -575,7 +615,7 @@ impl Tape {
                     *o = v * mv;
                 }
                 let value = Tensor::from_vec(data, m, n);
-                self.push(Op::Dropout { x, mask }, value)
+                self.push_like(Op::Dropout { x, mask }, value, x)
             }
         }
     }
@@ -601,7 +641,7 @@ impl Tape {
             off += w;
         }
         let op = Op::ConcatCols(self.nid_list(parts));
-        self.push(op, Tensor::from_vec(out, rows, total))
+        self.push_like(op, Tensor::from_vec(out, rows, total), parts[0])
     }
 
     /// Concatenate nodes along rows (all must share the column count).
@@ -632,9 +672,10 @@ impl Tape {
                 out[r * len..(r + 1) * len].copy_from_slice(&v.row_slice(r)[start..start + len]);
             }
         }
-        self.push(
+        self.push_like(
             Op::SliceCols { x, start, len },
             Tensor::from_vec(out, m, len),
+            x,
         )
     }
 
@@ -648,6 +689,22 @@ impl Tape {
             Op::SliceRows { x, start, len },
             Tensor::from_vec(out, len, n),
         )
+    }
+
+    /// The `rows` band of `x`, a node holding every row of a
+    /// `rows.full`-row pass (see [`Rows`]). Row-wise ops on the band keep
+    /// it, and GEMMs with a band left operand compute its rows of the full
+    /// product: forward and backward dispatch on `rows.full`, so values and
+    /// gradients are those of the same rows of the full pass. A band
+    /// covering every row is `x` itself.
+    pub fn band(&mut self, x: NodeId, rows: Rows) -> NodeId {
+        if rows.is_all() {
+            return x;
+        }
+        assert_eq!(self.nodes[x.0].rows, Rows::all(rows.full), "band of a band");
+        let id = self.slice_rows(x, rows.start, rows.len);
+        self.nodes[id.0].rows = rows;
+        id
     }
 
     /// Mean over rows: `m x n -> 1 x n`.
@@ -691,7 +748,7 @@ impl Tape {
         assert_eq!(self.value(s).len(), 1, "mul_scalar expects 1x1 scalar node");
         let sv = self.value(s).item();
         let v = self.map_into(x, |a| a * sv);
-        self.push(Op::MulScalar { x, s }, v)
+        self.push_like(Op::MulScalar { x, s }, v, x)
     }
 
     /// Sum of all elements as a `1x1` node.
@@ -706,7 +763,7 @@ impl Tape {
     /// normalization; inputs must be nonzero).
     pub fn recip(&mut self, x: NodeId) -> NodeId {
         let v = self.map_into(x, |a| 1.0 / a);
-        self.push(Op::Recip(x), v)
+        self.push_like(Op::Recip(x), v, x)
     }
 
     /// Elementwise square root (used for in-graph L2 norms, e.g. the
@@ -714,7 +771,7 @@ impl Tape {
     /// derivative diverges at zero).
     pub fn sqrt(&mut self, x: NodeId) -> NodeId {
         let v = self.map_into(x, f32::sqrt);
-        self.push(Op::Sqrt(x), v)
+        self.push_like(Op::Sqrt(x), v, x)
     }
 
     /// Mean cross-entropy over logit rows against (soft) target rows.
@@ -821,9 +878,12 @@ impl Tape {
             Op::Matmul(a, b) => {
                 // dA = dC * B^T ; dB = A^T * dC — both transpose-free, and
                 // dA runs on the prepacked transposed panels when B is a
-                // parameter.
+                // parameter. A band dispatches on the full row count, and
+                // dB reduces over the band rows alone: the full pass's
+                // other rows of dC are zero.
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
+                let rows = self.nodes[i].rows;
                 let mut da = self.arena.take(m * k);
                 let mut db = self.arena.take(k * n);
                 {
@@ -832,21 +892,23 @@ impl Tape {
                     let bv = bn.value.data();
                     let pool = RotomPool::global();
                     let pt = match &bn.op {
-                        Op::Param { packs, .. } if m * n * k >= kernels::SMALL_FLOPS => {
+                        Op::Param { packs, .. } if rows.full * n * k >= kernels::SMALL_FLOPS => {
                             packs.transposed(&bn.value)
                         }
                         _ => None,
                     };
-                    kernels::matmul_transpose_b_into(grad.data(), bv, pt, m, n, k, pool, &mut da);
-                    kernels::matmul_transpose_a_into(av, grad.data(), m, k, n, pool, &mut db);
+                    rows.matmul_transpose_b_into(grad.data(), bv, pt, n, k, pool, &mut da);
+                    rows.matmul_transpose_a_into(av, grad.data(), k, n, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, k, n));
             }
             Op::MatmulTb(a, b) => {
-                // C = A * B^T ; dA = dC * B ; dB = dC^T * A
+                // C = A * B^T ; dA = dC * B ; dB = dC^T * A (band as in
+                // `Matmul`).
                 let (m, n) = (grad.rows(), grad.cols());
                 let k = self.nodes[a.0].value.cols();
+                let rows = self.nodes[i].rows;
                 let mut da = self.arena.take(m * k);
                 let mut db = self.arena.take(n * k);
                 {
@@ -855,13 +917,13 @@ impl Tape {
                     let bv = bn.value.data();
                     let pool = RotomPool::global();
                     let pk = match &bn.op {
-                        Op::Param { packs, .. } if m * n * k >= kernels::SMALL_FLOPS => {
+                        Op::Param { packs, .. } if rows.full * n * k >= kernels::SMALL_FLOPS => {
                             packs.direct(&bn.value)
                         }
                         _ => None,
                     };
-                    kernels::matmul_into(grad.data(), bv, pk, m, n, k, pool, &mut da);
-                    kernels::matmul_transpose_a_into(grad.data(), av, m, n, k, pool, &mut db);
+                    rows.matmul_into(grad.data(), bv, pk, n, k, pool, &mut da);
+                    rows.matmul_transpose_a_into(grad.data(), av, n, k, pool, &mut db);
                 }
                 self.add_grad_owned(*a, Tensor::from_vec(da, m, k));
                 self.add_grad_owned(*b, Tensor::from_vec(db, n, k));

@@ -16,7 +16,7 @@
 //!   decoding). Dispatch is decided on the full shape, so a band is
 //!   bit-identical to the same rows of the full pass.
 //! * [`InferScratch`] — the activation workspace, a [`FreeList`] (the same
-//!   exact-length free list the tape's arena uses). A forward pass takes
+//!   size-class free list the tape's arena uses). A forward pass takes
 //!   buffers and returns them; steady-state scoring allocates nothing.
 //!   Layers receive it in an [`InferCtx`](crate::layers::InferCtx) beside
 //!   the parameter store and the pool.

@@ -1370,31 +1370,7 @@ pub fn matmul_transpose_a_into(
     debug_assert_eq!(out.len(), k * n);
     let flops = m * k * n;
     if flops < SMALL_FLOPS {
-        profile::bump(&profile::NAIVE);
-        // Direct q-i-j form: out[q][j] += a[i][q] * g[i][j], i increasing.
-        #[cfg(target_arch = "x86_64")]
-        if avx::available() {
-            for q in 0..k {
-                let o_row = &mut out[q * n..(q + 1) * n];
-                // In-bounds: column `q` of `a` is read at `q + i·k < m·k`.
-                unsafe { avx::row_accum(a.as_ptr().add(q), k, m, g.as_ptr(), n, o_row) };
-            }
-            return;
-        }
-        out.fill(0.0);
-        for q in 0..k {
-            let o_row = &mut out[q * n..(q + 1) * n];
-            for i in 0..m {
-                let av = a[i * k + q];
-                if av == 0.0 {
-                    continue;
-                }
-                let g_row = &g[i * n..(i + 1) * n];
-                for (o, &gv) in o_row.iter_mut().zip(g_row) {
-                    *o += av * gv;
-                }
-            }
-        }
+        matmul_transpose_a_naive(a, g, m, k, n, out);
         return;
     }
     if flops < PAR_MIN_FLOPS || pool.threads() <= 1 || k < 2 * MR {
@@ -1413,6 +1389,35 @@ pub fn matmul_transpose_a_into(
             };
             transpose_a_block(a, g, (m, k, n), range, out_block);
         });
+    }
+}
+
+/// The small-shape path of [`matmul_transpose_a_into`]: the direct q-i-j
+/// form `out[q][j] += a[i][q] · g[i][j]`, `i` increasing.
+fn matmul_transpose_a_naive(a: &[f32], g: &[f32], m: usize, k: usize, n: usize, out: &mut [f32]) {
+    profile::bump(&profile::NAIVE);
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        for q in 0..k {
+            let o_row = &mut out[q * n..(q + 1) * n];
+            // In-bounds: column `q` of `a` is read at `q + i·k < m·k`.
+            unsafe { avx::row_accum(a.as_ptr().add(q), k, m, g.as_ptr(), n, o_row) };
+        }
+        return;
+    }
+    out.fill(0.0);
+    for q in 0..k {
+        let o_row = &mut out[q * n..(q + 1) * n];
+        for i in 0..m {
+            let av = a[i * k + q];
+            if av == 0.0 {
+                continue;
+            }
+            let g_row = &g[i * n..(i + 1) * n];
+            for (o, &gv) in o_row.iter_mut().zip(g_row) {
+                *o += av * gv;
+            }
+        }
     }
 }
 
@@ -1552,20 +1557,42 @@ impl Rows {
     }
 
     /// `C = A·Bᵀ` for these rows (`a`: `len×k`, `b`: `n×k`, `out`:
-    /// `len×n`), dispatched like [`Rows::matmul_into`].
+    /// `len×n`), dispatched like [`Rows::matmul_into`]. `pk`, when present,
+    /// must be the [`PackedB::pack_transposed`] of `b`.
+    #[allow(clippy::too_many_arguments)]
     pub fn matmul_transpose_b_into(
         self,
         a: &[f32],
         b: &[f32],
+        pk: Option<&PackedB>,
         k: usize,
         n: usize,
         pool: &RotomPool,
         out: &mut [f32],
     ) {
         if self.is_all() {
-            matmul_transpose_b_into(a, b, None, self.len, k, n, pool, out);
+            matmul_transpose_b_into(a, b, pk, self.len, k, n, pool, out);
         } else {
-            matmul_transpose_b_band_into(a, b, self.full, self.len, k, n, out);
+            matmul_transpose_b_band_into(a, b, pk, self.full, self.len, k, n, out);
+        }
+    }
+
+    /// `C = Aᵀ·G` reduced over these rows (`a`: `len×k`, `g`: `len×n`,
+    /// `out`: `k×n`): the pooled [`matmul_transpose_a_into`] for a full
+    /// pass, [`matmul_transpose_a_band_into`] for a band.
+    pub fn matmul_transpose_a_into(
+        self,
+        a: &[f32],
+        g: &[f32],
+        k: usize,
+        n: usize,
+        pool: &RotomPool,
+        out: &mut [f32],
+    ) {
+        if self.is_all() {
+            matmul_transpose_a_into(a, g, self.len, k, n, pool, out);
+        } else {
+            matmul_transpose_a_band_into(a, g, self.full, self.len, k, n, out);
         }
     }
 }
@@ -1626,10 +1653,13 @@ pub fn matmul_band_into(
 /// transpose-form counterpart of [`matmul_band_into`], with the identical
 /// full-shape dispatch rule. Valid because both the naive dot-form kernel
 /// and the tiled core accumulate every output scalar independently in
-/// increasing `k`.
+/// increasing `k`. `pk`, when present, must be the
+/// [`PackedB::pack_transposed`] of `b`.
+#[allow(clippy::too_many_arguments)]
 pub fn matmul_transpose_b_band_into(
     a_band: &[f32],
     b: &[f32],
+    pk: Option<&PackedB>,
     full_m: usize,
     band_len: usize,
     k: usize,
@@ -1646,7 +1676,48 @@ pub fn matmul_transpose_b_band_into(
         return;
     }
     profile::bump(&profile::TILED_SERIAL);
-    matmul_block_tiled(a_band, band_len, k, &BTransposed { b, k }, n, out);
+    let edge = BTransposed { b, k };
+    match pk {
+        Some(pk) => {
+            debug_assert_eq!(pk.shape(), (k, n));
+            matmul_block_tiled(a_band, band_len, k, &BPacked { pk, edge }, n, out);
+        }
+        None => matmul_block_tiled(a_band, band_len, k, &edge, n, out),
+    }
+}
+
+/// Band replay of the weight-gradient contraction `C = Aᵀ·G`: reduce over
+/// only the `band_len` rows of `a_band` (`band_len×k`) and `g_band`
+/// (`band_len×n`) into `out` (`k×n`, fully overwritten), with the dispatch
+/// [`matmul_transpose_a_into`] takes on the full `full_m`-row shape.
+///
+/// In a band pass the gradient rows outside the band are exactly zero in
+/// the full pass (nothing downstream reads them), and every path of the
+/// full kernel accumulates each output scalar over the rows in increasing
+/// order — adding a product with a zero leaves a nonzero partial sum
+/// unchanged. So the band reduction equals the full product; only the sign
+/// of an all-zero sum may differ (`+0` here against `−0` there). Runs
+/// serially: each output row is computed independently, so the full path's
+/// fan-out never changes its values.
+pub fn matmul_transpose_a_band_into(
+    a_band: &[f32],
+    g_band: &[f32],
+    full_m: usize,
+    band_len: usize,
+    k: usize,
+    n: usize,
+    out: &mut [f32],
+) {
+    debug_assert!(band_len <= MR && band_len <= full_m);
+    debug_assert_eq!(a_band.len(), band_len * k);
+    debug_assert_eq!(g_band.len(), band_len * n);
+    debug_assert_eq!(out.len(), k * n);
+    if full_m * k * n < SMALL_FLOPS {
+        matmul_transpose_a_naive(a_band, g_band, band_len, k, n, out);
+    } else {
+        profile::bump(&profile::TILED_SERIAL);
+        transpose_a_block(a_band, g_band, (band_len, k, n), 0..k, out);
+    }
 }
 
 /// Elementwise activation applied by the fused forward path.
@@ -3057,6 +3128,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(split_seed(0x4eb, case as u64));
             let a = random_matrix(&mut rng, m, k);
             let b = random_matrix(&mut rng, n, k);
+            let pt = PackedB::pack_transposed(&b, k, n);
             for threads in [1, 2, 8] {
                 let full = filled(m * n, |o| {
                     matmul_transpose_b_into(&a, &b, None, m, k, n, &RotomPool::new(threads), o)
@@ -3065,12 +3137,55 @@ mod tests {
                     let (start, len) = band_rows(m, row);
                     let a_band = &a[start * k..(start + len) * k];
                     let mut band = vec![0.0f32; len * n];
-                    matmul_transpose_b_band_into(a_band, &b, m, len, k, n, &mut band);
+                    matmul_transpose_b_band_into(a_band, &b, None, m, len, k, n, &mut band);
                     assert_eq!(
                         band,
                         &full[start * n..(start + len) * n],
                         "tb band {m}x{k}x{n} row={row} threads={threads}"
                     );
+                    matmul_transpose_b_band_into(a_band, &b, Some(&pt), m, len, k, n, &mut band);
+                    assert_eq!(
+                        band,
+                        &full[start * n..(start + len) * n],
+                        "packed tb band {m}x{k}x{n} row={row} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_a_band_replay_matches_full_product_with_zero_rows() {
+        // A band pass's weight gradient: the full pass's gradient rows
+        // outside the band are zero, so reducing over the band alone must
+        // give the full product. Compared as f32 (`-0 == +0`): an all-zero
+        // sum may carry either sign.
+        for (case, &(m, k, n)) in SHAPES.iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(split_seed(0x4ec, case as u64));
+            let a = random_matrix(&mut rng, m, k);
+            let g = random_matrix(&mut rng, m, n);
+            for row in [0, m / 2, m - 1] {
+                let (start, len) = band_rows(m, row);
+                let mut g_zeroed = vec![0.0f32; m * n];
+                g_zeroed[start * n..(start + len) * n]
+                    .copy_from_slice(&g[start * n..(start + len) * n]);
+                let a_band = &a[start * k..(start + len) * k];
+                let g_band = &g[start * n..(start + len) * n];
+                let mut band = vec![f32::NAN; k * n];
+                matmul_transpose_a_band_into(a_band, g_band, m, len, k, n, &mut band);
+                for threads in [1, 2, 8] {
+                    let pool = RotomPool::new(threads);
+                    let full = filled(k * n, |o| {
+                        matmul_transpose_a_into(&a, &g_zeroed, m, k, n, &pool, o)
+                    });
+                    assert_eq!(
+                        band, full,
+                        "ta band {m}x{k}x{n} row={row} threads={threads}"
+                    );
+                    let rows = Rows::band(m, row);
+                    let mut via_rows = vec![f32::NAN; k * n];
+                    rows.matmul_transpose_a_into(a_band, g_band, k, n, &pool, &mut via_rows);
+                    assert_eq!(band, via_rows, "Rows dispatch {m}x{k}x{n} row={row}");
                 }
             }
         }

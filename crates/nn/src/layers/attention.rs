@@ -138,7 +138,7 @@ impl MultiHeadAttention {
             slice_cols(&q, tq, d, h * dk, dk, &mut qs);
             slice_cols(k, tk, d, h * dk, dk, &mut ks);
             slice_cols(v, tk, d, h * dk, dk, &mut vs);
-            rows.matmul_transpose_b_into(&qs, &ks, dk, tk, ctx.pool, &mut scores);
+            rows.matmul_transpose_b_into(&qs, &ks, None, dk, tk, ctx.pool, &mut scores);
             kernels::scale_fwd(&mut scores, scale);
             kernels::softmax_fwd(&scores, mask, tq, tk, &mut attn);
             rows.matmul_into(&attn, &vs, None, tk, dk, ctx.pool, &mut head_out);

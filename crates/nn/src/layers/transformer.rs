@@ -140,11 +140,18 @@ impl EncoderLayer {
         }
     }
 
-    /// Apply the layer to a `T x d` node.
-    pub fn forward(&self, tape: &mut Tape, x: NodeId, ctx: &mut FwdCtx<'_>) -> NodeId {
+    /// Apply the layer to the `rows.full × d` node `x`, computing the
+    /// `rows` output rows (a [`Tape::band`] node unless `rows` is every
+    /// row). As in [`infer`](Self::infer), the first layer norm and the K/V
+    /// projections run over all rows; the queries, the attention, the
+    /// residuals, `ln2` and the FFN run over the band only. Dropout draws
+    /// the full pass's mask, so the RNG stream does not depend on `rows`.
+    pub fn forward(&self, tape: &mut Tape, x: NodeId, rows: Rows, ctx: &mut FwdCtx<'_>) -> NodeId {
         let n1 = self.ln1.forward(tape, x, ctx.store);
-        let a = self.attn.forward(tape, n1, n1, None, ctx.store);
+        let q = tape.band(n1, rows);
+        let a = self.attn.forward(tape, q, n1, None, ctx.store);
         let a = apply_dropout(tape, a, ctx);
+        let x = tape.band(x, rows);
         let x = tape.add(x, a);
         let n2 = self.ln2.forward(tape, x, ctx.store);
         let f = self.ff.forward(tape, n2, ctx.store);
@@ -282,9 +289,18 @@ impl DecoderLayer {
     }
 }
 
+/// Dropout on `x`. On a band node the mask is drawn for all `rows.full`
+/// rows of the pass and the band's rows are kept, so the RNG stream is the
+/// full pass's.
 fn apply_dropout(tape: &mut Tape, x: NodeId, ctx: &mut FwdCtx<'_>) -> NodeId {
-    let n = tape.value(x).len();
-    let mask = ctx.dropout_mask(n);
+    let rows = tape.rows(x);
+    let d = tape.value(x).cols();
+    let mask = ctx.dropout_mask(rows.full * d).map(|mut bits| {
+        let span = rows.span(d);
+        bits.truncate(span.end);
+        bits.drain(..span.start);
+        bits
+    });
     tape.dropout(x, ctx.dropout, mask)
 }
 
@@ -347,6 +363,42 @@ impl TransformerEncoder {
         extras: &[(&Embedding, &[usize])],
         ctx: &mut FwdCtx<'_>,
     ) -> NodeId {
+        let (x, t) = self.embed(tape, ids, extras, ctx);
+        self.forward_rows(tape, x, Rows::all(t), ctx)
+    }
+
+    /// Encode and return the first-token ([CLS]) representation as `1 x d`.
+    pub fn encode_cls(&self, tape: &mut Tape, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
+        self.encode_cls_with(tape, ids, &[], ctx)
+    }
+
+    /// [`encode_cls`](Self::encode_cls) with extra input features. Like
+    /// [`infer_encode_cls_with`](Self::infer_encode_cls_with), only the
+    /// band holding row 0 of the last layer and the final norm is computed.
+    /// Its value and the dropout RNG stream are those of row 0 of
+    /// [`forward_with`](Self::forward_with), and so are the gradients it
+    /// sends back, except that an exactly-zero gradient may differ in sign.
+    pub fn encode_cls_with(
+        &self,
+        tape: &mut Tape,
+        ids: &[usize],
+        extras: &[(&Embedding, &[usize])],
+        ctx: &mut FwdCtx<'_>,
+    ) -> NodeId {
+        let (x, t) = self.embed(tape, ids, extras, ctx);
+        let h = self.forward_rows(tape, x, Rows::band(t, 0), ctx);
+        tape.slice_rows(h, 0, 1)
+    }
+
+    /// Token + positional (+ extra feature) embeddings of `ids` (truncated
+    /// to `max_len`) with the input dropout: a `t × d` node, and `t`.
+    fn embed(
+        &self,
+        tape: &mut Tape,
+        ids: &[usize],
+        extras: &[(&Embedding, &[usize])],
+        ctx: &mut FwdCtx<'_>,
+    ) -> (NodeId, usize) {
         let t = ids.len().min(self.cfg.max_len);
         let ids = &ids[..t];
         let positions: Vec<usize> = (0..t).collect();
@@ -358,29 +410,32 @@ impl TransformerEncoder {
             let fe = table.forward(tape, ctx.store, &feats[..t]);
             x = tape.add(x, fe);
         }
-        x = apply_dropout(tape, x, ctx);
-        for layer in &self.layers {
-            x = layer.forward(tape, x, ctx);
-        }
-        self.ln_f.forward(tape, x, ctx.store)
+        (apply_dropout(tape, x, ctx), t)
     }
 
-    /// Encode and return the first-token ([CLS]) representation as `1 x d`.
-    pub fn encode_cls(&self, tape: &mut Tape, ids: &[usize], ctx: &mut FwdCtx<'_>) -> NodeId {
-        let h = self.forward(tape, ids, ctx);
-        tape.slice_rows(h, 0, 1)
-    }
-
-    /// [`encode_cls`](Self::encode_cls) with extra input features.
-    pub fn encode_cls_with(
+    /// The tape twin of [`infer_rows`](Self::infer_rows): run the layers
+    /// and the final norm over the `t × d` node `x`, computing only `rows`
+    /// of the last layer and the norm.
+    fn forward_rows(
         &self,
         tape: &mut Tape,
-        ids: &[usize],
-        extras: &[(&Embedding, &[usize])],
+        mut x: NodeId,
+        rows: Rows,
         ctx: &mut FwdCtx<'_>,
     ) -> NodeId {
-        let h = self.forward_with(tape, ids, extras, ctx);
-        tape.slice_rows(h, 0, 1)
+        let last = self.layers.len().saturating_sub(1);
+        for (i, layer) in self.layers.iter().enumerate() {
+            let lr = if i == last {
+                rows
+            } else {
+                Rows::all(rows.full)
+            };
+            x = layer.forward(tape, x, lr, ctx);
+        }
+        if self.layers.is_empty() {
+            x = tape.band(x, rows);
+        }
+        self.ln_f.forward(tape, x, ctx.store)
     }
 
     /// Sum token + positional (+ extra feature) embeddings into a fresh

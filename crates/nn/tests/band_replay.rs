@@ -215,7 +215,7 @@ fn encoder_and_decoder_layers_replay_every_band() {
             |store| {
                 let mut tape = Tape::new();
                 let xn = tape.input(Tensor::from_vec(x.clone(), t, D));
-                let y = enc.forward(&mut tape, xn, &mut FwdCtx::eval(store));
+                let y = enc.forward(&mut tape, xn, Rows::all(t), &mut FwdCtx::eval(store));
                 tape.value(y).data().to_vec()
             },
             |rows, ctx, out| enc.infer(&x, rows, ctx, out),

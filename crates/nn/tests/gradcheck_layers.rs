@@ -9,6 +9,7 @@
 //! requires a deterministic forward pass.
 
 use rotom_nn::gradcheck::{check, GradCheckOpts};
+use rotom_nn::kernels::Rows;
 use rotom_nn::{
     causal_mask, DecoderLayer, Embedding, EncoderLayer, FeedForward, FwdCtx, Gru, LayerNorm,
     Linear, MultiHeadAttention, NodeId, ParamStore, Tape, Tensor, TransformerConfig,
@@ -266,7 +267,33 @@ fn gradcheck_encoder_layer() {
         let mut tape = Tape::new();
         let xn = tape.input(x.clone());
         let mut ctx = FwdCtx::eval(store);
-        let y = layer.forward(&mut tape, xn, &mut ctx);
+        let y = layer.forward(&mut tape, xn, Rows::all(4), &mut ctx);
+        let loss = project(&mut tape, y, &coeff);
+        let lv = tape.value(loss).item();
+        if backward {
+            tape.backward(loss, store);
+        }
+        lv
+    });
+    report.assert_ok();
+}
+
+/// The `[CLS]` band of an encoder layer (the last layer of every
+/// `encode_cls` tape): 9 rows, so the band is one `MR`-row tile.
+#[test]
+fn gradcheck_encoder_layer_band() {
+    let mut rng = StdRng::seed_from_u64(0xAF);
+    let mut store = ParamStore::new();
+    let cfg = tiny_cfg(16);
+    let layer = EncoderLayer::new(&mut store, &mut rng, "enc", &cfg);
+    let rows = Rows::band(9, 0);
+    let x = rand_tensor(&mut rng, 9, 8, 1.0);
+    let coeff = rand_tensor(&mut rng, rows.len, 8, 1.0);
+    let report = check(&mut store, &default_opts(), |store, backward| {
+        let mut tape = Tape::new();
+        let xn = tape.input(x.clone());
+        let mut ctx = FwdCtx::eval(store);
+        let y = layer.forward(&mut tape, xn, rows, &mut ctx);
         let loss = project(&mut tape, y, &coeff);
         let lv = tape.value(loss).item();
         if backward {
